@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .designs import Design, DesignParams, design_from_json, validate_design
-from .errors import UnknownCatalogId, UnknownGraphName
+from .errors import SelfCheckFailed, UnknownCatalogId, UnknownGraphName
 from .flag_graphs import gamma2
 from .graphs import Graph, cycle_graph, degree_profile, girth
 from .regularity import classify
@@ -75,10 +75,9 @@ def clebsch_graph() -> Graph:
         (x, x ^ c) for x in range(16) for c in connection if x < (x ^ c)
     ]
     g = Graph(16, edges)
-    profile = classify(g)
-    assert profile.classification == "SRG"
-    assert profile.degrees == {5} and profile.eta_set == {0}
-    assert profile.mu_set == {2}
+    p = classify(g)
+    if (p.classification, p.degrees, p.eta_set, p.mu_set) != ("SRG", {5}, {0}, {2}):
+        raise SelfCheckFailed(f"Clebsch graph is not SRG(16,5,0,2): {p}")
     return g
 
 
@@ -87,7 +86,8 @@ def reference_graph(name: str) -> Graph:
         return clebsch_graph()
     if name == "coxeter":
         g = gamma2(get_design("biplane-7-4-2")).graph
-        assert g.n == 28 and degree_profile(g) == {3} and girth(g) == 7
+        if g.n != 28 or degree_profile(g) != {3} or girth(g) != 7:
+            raise SelfCheckFailed("gamma2 of the (7,4,2) biplane is not Coxeter")
         return g
     if name == "cycle-4":
         return cycle_graph(4)

@@ -43,8 +43,8 @@ from .regularity import (
     classify,
     predicted_gamma1_profile,
     predicted_gamma2_profile,
+    prediction_to_json,
     profile_to_json,
-    report_to_json as prediction_to_json,
 )
 from .reporting import render_report, report_to_json, run_reproduction
 from .spectra import (

@@ -16,6 +16,7 @@ from .errors import (
     NonIntegralParams,
     PairCountMismatch,
     RepeatedBlock,
+    SelfCheckFailed,
     TrivialDesign,
     UnequalBlockSizes,
 )
@@ -164,7 +165,8 @@ def validate_design(d: Design) -> DesignParams:
             reps[p] += 1
     r = reps[0]
     # pair balance plus uniform k forces uniform replication
-    assert all(c == r for c in reps)
+    if any(c != r for c in reps):
+        raise SelfCheckFailed(f"pair-balanced design with replications {set(reps)}")
     return DesignParams(d.v, d.b, r, k, lam)
 
 
@@ -186,8 +188,12 @@ def design_from_difference_set(group_order: int, base_block) -> Design:
 
 
 def enumerate_flags(d: Design) -> list[Flag]:
-    """All b*k flags, ordered by (block_index, point)."""
-    return [Flag(p, j) for j, blk in enumerate(d.blocks) for p in blk]
+    """All b*k flags in (point, block_index) order.
+
+    This is the order that names the vertices of gamma1 and gamma2, and
+    the order of the edges of the incidence graph.
+    """
+    return sorted(Flag(p, j) for j, blk in enumerate(d.blocks) for p in blk)
 
 
 def incidence_graph(d: Design) -> Graph:

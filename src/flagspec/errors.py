@@ -57,3 +57,11 @@ class SameVertex(FlagspecError):
 
 class NonIntegralClaim(FlagspecError):
     """A spectrum claim does not expand to an integer-coefficient polynomial."""
+
+
+class SelfCheckFailed(FlagspecError):
+    """A computed result failed one of the library's own consistency checks.
+
+    These checks guard verdicts, so they are explicit raises rather than
+    asserts, which python -O would remove.
+    """

@@ -1,11 +1,12 @@
 """The two graphs on the flags of a design.
 
-gamma1 joins flags sharing the point or the block; it coincides with the
-line graph of the incidence graph.  gamma2, defined for biplanes only,
-joins (p, c) and (q, d) exactly when the blocks meet in {p, q}.  Vertex i
-of either graph is flags[i]; flags are listed in lexicographic (point,
-block_index) order, which makes gamma1 positionally equal to the line
-graph of the incidence graph (whose edges sort the same way).
+gamma1 joins flags sharing the point or the block, which on flags is
+exactly the line graph of the incidence graph, and it is built as that
+line graph: incidence edge (p, v + j) is flag (p, j).  gamma2, defined for
+biplanes only, joins (p, c) and (q, d) exactly when the blocks meet in
+{p, q}.  Vertex i of either graph is flags[i]; flags are listed in
+lexicographic (point, block_index) order, the order of enumerate_flags and
+of the incidence graph's edges.
 """
 
 from __future__ import annotations
@@ -13,9 +14,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .designs import Design, DesignParams, Flag, validate_design
+from .designs import (
+    Design,
+    DesignParams,
+    Flag,
+    enumerate_flags,
+    incidence_graph,
+    validate_design,
+)
 from .errors import NotABiplane, RepeatedBlock
-from .graphs import Graph, graph_to_json
+from .graphs import Graph, graph_to_json, line_graph
 
 
 @dataclass(frozen=True)
@@ -25,30 +33,13 @@ class FlagGraph:
     params: DesignParams
     variant: str  # "gamma1" or "gamma2"
 
-    def flag_index(self, flag: Flag) -> int:
-        return self.flags.index(flag)
-
-
-def _sorted_flags(d: Design) -> tuple[Flag, ...]:
-    flags = [Flag(p, j) for j, blk in enumerate(d.blocks) for p in blk]
-    flags.sort()
-    return tuple(flags)
-
 
 def gamma1(d: Design) -> FlagGraph:
     """Flag graph: (p, c) ~ (q, d) iff p = q or c = d (and the flags differ)."""
     params = validate_design(d)
-    flags = _sorted_flags(d)
-    index = {f: i for i, f in enumerate(flags)}
-    edges = []
-    by_point: dict[int, list[int]] = {}
-    by_block: dict[int, list[int]] = {}
-    for f, i in index.items():
-        by_point.setdefault(f.point, []).append(i)
-        by_block.setdefault(f.block_index, []).append(i)
-    for group in list(by_point.values()) + list(by_block.values()):
-        edges.extend(combinations(sorted(group), 2))
-    return FlagGraph(Graph(len(flags), edges), flags, params, "gamma1")
+    lg, edge_order = line_graph(incidence_graph(d))
+    flags = tuple(Flag(p, q - d.v) for p, q in edge_order)
+    return FlagGraph(lg, flags, params, "gamma1")
 
 
 def gamma2(d: Design) -> FlagGraph:
@@ -68,7 +59,7 @@ def gamma2(d: Design) -> FlagGraph:
     for j, bs in enumerate(block_sets):
         if bs in block_sets[:j]:
             raise RepeatedBlock(j)
-    flags = _sorted_flags(d)
+    flags = tuple(enumerate_flags(d))
     index = {f: i for i, f in enumerate(flags)}
     edges = []
     for j, l in combinations(range(d.b), 2):

@@ -12,6 +12,8 @@ import math
 from collections import deque
 from itertools import combinations
 
+import numpy as np
+
 from .errors import SameVertex
 
 
@@ -110,21 +112,18 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Line graph of g, plus the edge ordering that names its vertices.
 
     Vertex i of the result is edge_order[i] (edges of g in lexicographic
-    order); two vertices are adjacent iff the underlying edges share exactly
-    one endpoint.
+    order); two vertices are adjacent iff the underlying edges share an
+    endpoint.  Edges of a simple graph share at most one, so every pair
+    of line-graph vertices is produced by exactly one star.  gamma1 is
+    built as this graph of the incidence graph.
     """
     edge_order = g.edges
-    index_at = {e: i for i, e in enumerate(edge_order)}
-    # edges meeting at a common vertex: all pairs within each star
     incident = [[] for _ in range(g.n)]
-    for e in edge_order:
-        incident[e[0]].append(index_at[e])
-        incident[e[1]].append(index_at[e])
-    seen = set()
-    for star in incident:
-        for x, y in combinations(star, 2):
-            seen.add((x, y) if x < y else (y, x))
-    return Graph(len(edge_order), seen), edge_order
+    for i, (a, b) in enumerate(edge_order):
+        incident[a].append(i)
+        incident[b].append(i)
+    pairs = [pair for star in incident for pair in combinations(star, 2)]
+    return Graph(len(edge_order), pairs), edge_order
 
 
 def connected_components(g: Graph) -> list[list[int]]:
@@ -214,37 +213,32 @@ def graph_from_json(obj) -> Graph:
 # x(n-2,n-1), packed 6 per byte (zero-padded), each group +63.
 
 _G6_MAX_N = 258047
+_PACK = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 def graph_to_graph6(g: Graph) -> str:
-    return _graph6_bytes(g.n, _triangle_bits(g)).decode("ascii")
+    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    return _graph6(g.n, ends[:, 0], ends[:, 1]).decode("ascii")
 
 
-def _graph6_header(n: int) -> bytes:
+def _graph6(n: int, a: np.ndarray, b: np.ndarray) -> bytes:
+    """graph6 bytes of the graph on 0..n-1 with edges (a[e], b[e]).
+
+    The single encoder behind graph_to_graph6 and the canonical
+    certificates; endpoints may come in either order.
+    """
     if n < 0 or n > _G6_MAX_N:
         raise ValueError(f"graph6 supports 0 <= n <= {_G6_MAX_N}, got {n}")
     if n <= 62:
-        return bytes([n + 63])
-    return bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-
-
-def _triangle_bits(g: Graph) -> bytearray:
-    # bit index of pair (i, j), i < j, in column-major order is C(j,2) + i
-    nbits = g.n * (g.n - 1) // 2
-    bits = bytearray(nbits)
-    for i, j in g.edges:
-        bits[j * (j - 1) // 2 + i] = 1
-    return bits
-
-def _graph6_bytes(n: int, bits: bytearray) -> bytes:
-    out = bytearray(_graph6_header(n))
-    for k in range(0, len(bits), 6):
-        group = 0
-        for b in bits[k:k + 6]:
-            group = (group << 1) | b
-        group <<= max(0, 6 - len(bits[k:k + 6]))
-        out.append(group + 63)
-    return bytes(out)
+        header = bytes([n + 63])
+    else:
+        header = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+    nbits = n * (n - 1) // 2
+    bits = np.zeros(nbits + (-nbits) % 6, dtype=np.uint8)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    # pair (lo, hi) sits at column-major upper-triangle position C(hi,2) + lo
+    bits[hi * (hi - 1) // 2 + lo] = 1
+    return header + (bits.reshape(-1, 6) @ _PACK + 63).tobytes()
 
 
 def graph_from_graph6(s: str | bytes) -> Graph:

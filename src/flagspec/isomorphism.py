@@ -2,11 +2,13 @@
 
 canonical_form runs iterated equitable refinement with individualization
 and backtracking.  The certificate is the smallest graph6 encoding over
-the leaves of the search tree; automorphisms discovered along the way
-(two leaves with equal certificates) prune sibling branches orbit-wise.
-Byte-equal certificates hold exactly for isomorphic graphs.  Disconnected
-graphs are canonicalized component by component and reassembled in sorted
-certificate order, which keeps highly symmetric unions cheap.
+the leaves of the search tree, written by the same encoder as
+graph_to_graph6, so it equals graph_to_graph6(g.relabel(permutation));
+automorphisms discovered along the way (two leaves with equal
+certificates) prune sibling branches orbit-wise.  Byte-equal certificates
+hold exactly for isomorphic graphs.  Disconnected graphs are canonicalized
+component by component and reassembled in sorted certificate order, which
+keeps highly symmetric unions cheap.
 
 Design isomorphism reuses the machinery on the incidence graph with the
 point/block sides as an ordered two-color partition, so points can never
@@ -20,9 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Design, incidence_graph, validate_design
-from .graphs import Graph, _graph6_header, connected_components
-
-_PACK = np.array([32, 16, 8, 4, 2, 1], dtype=np.int16)
+from .graphs import Graph, _graph6, connected_components
 
 
 @dataclass(frozen=True)
@@ -34,16 +34,9 @@ class CanonicalForm:
 def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
     """Backtracking over individualizations; returns (certificate, perm)."""
     n = g.n
-    if g.edges:
-        earr = np.array(g.edges, dtype=np.int64)
-        src = np.concatenate([earr[:, 0], earr[:, 1]])
-        dst = np.concatenate([earr[:, 1], earr[:, 0]])
-    else:
-        earr = np.zeros((0, 2), dtype=np.int64)
-        src = dst = np.zeros(0, dtype=np.int64)
-    nbits = n * (n - 1) // 2
-    header = _graph6_header(n)
-    pad = (-nbits) % 6
+    earr = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    src = np.concatenate([earr[:, 0], earr[:, 1]])
+    dst = np.concatenate([earr[:, 1], earr[:, 0]])
 
     def refine(colors: np.ndarray) -> np.ndarray:
         # split cells by neighbor color histograms until stable; fresh ids
@@ -70,22 +63,13 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
         out[v] -= 1
         return out
 
-    def leaf_certificate(perm: np.ndarray) -> bytes:
-        bits = np.zeros(nbits + pad, dtype=np.int16)
-        if len(earr):
-            a, b = perm[earr[:, 0]], perm[earr[:, 1]]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            bits[hi * (hi - 1) // 2 + lo] = 1
-        packed = bits.reshape(-1, 6) @ _PACK + 63
-        return header + packed.astype(np.uint8).tobytes()
-
     best_cert: bytes | None = None
     best_perm: np.ndarray | None = None
     gens: list[np.ndarray] = []
 
     def visit_leaf(cols: np.ndarray):
         nonlocal best_cert, best_perm
-        cert = leaf_certificate(cols)
+        cert = _graph6(n, cols[earr[:, 0]], cols[earr[:, 1]])
         if best_cert is None or cert < best_cert:
             best_cert, best_perm = cert, cols
         elif cert == best_cert and not np.array_equal(cols, best_perm):
@@ -132,26 +116,7 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
             recurse(individualize(cols, w), fixed + (w,))
 
     recurse(np.array(base, dtype=np.int64), ())
-    assert best_cert is not None and best_perm is not None
     return best_cert, tuple(int(p) for p in best_perm)
-
-
-def _whole_certificate(g: Graph, perm) -> bytes:
-    bits = bytearray(g.n * (g.n - 1) // 2)
-    for u, v in g.edges:
-        i, j = perm[u], perm[v]
-        if i > j:
-            i, j = j, i
-        bits[j * (j - 1) // 2 + i] = 1
-    out = bytearray(_graph6_header(g.n))
-    for k in range(0, len(bits), 6):
-        group = 0
-        chunk = bits[k : k + 6]
-        for b in chunk:
-            group = (group << 1) | b
-        group <<= 6 - len(chunk)
-        out.append(group + 63)
-    return bytes(out)
 
 
 def _assemble_components(g: Graph, parts) -> tuple[bytes, tuple[int, ...]]:
@@ -169,7 +134,9 @@ def _assemble_components(g: Graph, parts) -> tuple[bytes, tuple[int, ...]]:
         for local, v in enumerate(vertices):
             perm_whole[v] = offset + perm[local]
         offset += size
-    return _whole_certificate(g, perm_whole), tuple(perm_whole)
+    earr = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    ends = np.array(perm_whole, dtype=np.int64)[earr]
+    return _graph6(g.n, ends[:, 0], ends[:, 1]), tuple(perm_whole)
 
 
 def canonical_form(g: Graph, colors=None) -> CanonicalForm:
@@ -193,7 +160,8 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
         base = [0] * n
         prefix = b""
     if n == 0:
-        return CanonicalForm(prefix + _graph6_header(0), ())
+        empty = np.zeros(0, dtype=np.int64)
+        return CanonicalForm(prefix + _graph6(0, empty, empty), ())
     if colors is None:
         parts = connected_components(g)
         if len(parts) > 1:

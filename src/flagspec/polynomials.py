@@ -157,25 +157,26 @@ class IntPolynomial:
         return " ".join(parts)
 
 
-def _fraction_rem(a: IntPolynomial, b: IntPolynomial) -> list[Fraction]:
-    """Remainder of a by b over the rationals, as a Fraction list."""
+def _divmod(
+    a: IntPolynomial, b: IntPolynomial
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b over the rationals, as Fraction
+    lists in ascending order; the remainder has no trailing zeros."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
     rem = [Fraction(c) for c in a.coeffs]
-    div = [Fraction(c) for c in b.coeffs]
-    db = len(div) - 1
-    lead = div[-1]
-    while len(rem) - 1 >= db:
+    db, lead = b.degree, b.leading
+    quot = [Fraction(0)] * max(0, len(rem) - db)
+    while rem and len(rem) - 1 >= db:
         q = rem[-1] / lead
         shift = len(rem) - 1 - db
-        for i, c in enumerate(div):
+        quot[shift] = q
+        for i, c in enumerate(b.coeffs):
             rem[shift + i] -= q * c
         rem.pop()
         while rem and rem[-1] == 0:
             rem.pop()
-        if not rem:
-            break
-    return rem
+    return quot, rem
 
 
 def _primitive_from_fractions(fr: list[Fraction]) -> IntPolynomial:
@@ -190,22 +191,7 @@ def _primitive_from_fractions(fr: list[Fraction]) -> IntPolynomial:
 
 def exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     """Quotient num/den, required to be exact over the integers."""
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in num.coeffs]
-    div = [Fraction(c) for c in den.coeffs]
-    db = len(div) - 1
-    lead = div[-1]
-    quot = [Fraction(0)] * max(0, len(rem) - db)
-    while len(rem) - 1 >= db and rem:
-        q = rem[-1] / lead
-        shift = len(rem) - 1 - db
-        quot[shift] = q
-        for i, c in enumerate(div):
-            rem[shift + i] -= q * c
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
+    quot, rem = _divmod(num, den)
     if rem:
         raise ValueError("division is not exact")
     if any(q.denominator != 1 for q in quot):
@@ -221,7 +207,7 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """
     p, q = a.primitive(), b.primitive()
     while not q.is_zero:
-        rem = _primitive_from_fractions(_fraction_rem(p, q))
+        rem = _primitive_from_fractions(_divmod(p, q)[1])
         p, q = q, rem
     if p.is_zero:
         return p
@@ -247,7 +233,7 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     """
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
-        rem = _primitive_from_fractions(_fraction_rem(chain[-2], chain[-1]))
+        rem = _primitive_from_fractions(_divmod(chain[-2], chain[-1])[1])
         if rem.is_zero:
             break
         chain.append(-rem)

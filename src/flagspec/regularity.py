@@ -147,7 +147,7 @@ def profile_to_json(p: RegularityProfile) -> dict:
     }
 
 
-def report_to_json(r: PredictionReport) -> dict:
+def prediction_to_json(r: PredictionReport) -> dict:
     return {
         "n_ok": r.n_ok,
         "degree_ok": r.degree_ok,

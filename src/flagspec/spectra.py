@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .designs import DesignParams
-from .errors import NonIntegralClaim
+from .errors import NonIntegralClaim, SelfCheckFailed
 from .graphs import Graph
 from .polynomials import (
     IntPolynomial,
@@ -214,6 +214,12 @@ def _modular_primes(beyond: int) -> list[int]:
     return primes
 
 
+# A product of two residues mod a 27-bit prime is below 2^54, so an int64
+# sum holds 512 of them; sums of such products are reduced mod p after at
+# most _CHUNK terms.
+_CHUNK = 256
+
+
 def _hessenberg_mod(mat: np.ndarray, p: int) -> np.ndarray:
     """Similarity-reduce to upper Hessenberg form over GF(p)."""
     h = np.mod(mat.astype(np.int64), p)
@@ -230,17 +236,22 @@ def _hessenberg_mod(mat: np.ndarray, p: int) -> np.ndarray:
         factors = (h[col + 2 :, col] * inv) % p
         # row operations, then the inverse column operations (similarity)
         h[col + 2 :] = (h[col + 2 :] - factors[:, None] * h[col + 1]) % p
-        h[:, col + 1] = (h[:, col + 1] + h[:, col + 2 :] @ factors) % p
+        acc = h[:, col + 1]
+        for off in range(0, n - col - 2, _CHUNK):
+            block = h[:, col + 2 + off : col + 2 + off + _CHUNK]
+            acc = (acc + block @ factors[off : off + _CHUNK]) % p
+        h[:, col + 1] = acc
     return h
 
 
-def _charpoly_mod(mat: np.ndarray, p: int) -> list[int]:
-    """Ascending coefficients of det(xI - mat) over GF(p).
+def _charpoly_mod(h: np.ndarray, p: int) -> list[int]:
+    """Ascending coefficients of det(xI - h) over GF(p), for h upper
+    Hessenberg with entries in 0..p-1.
 
-    Uses the leading-principal-minor recurrence for Hessenberg matrices.
-    With p below 2^27 all int64 accumulations stay clear of overflow.
+    Uses the leading-principal-minor recurrence.  Step j subtracts up to
+    j - 1 products of two residues from `new`, which is reduced mod p after
+    every _CHUNK of them, so no int64 sum overflows at any n.
     """
-    h = _hessenberg_mod(mat, p)
     n = h.shape[0]
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
@@ -249,15 +260,18 @@ def _charpoly_mod(mat: np.ndarray, p: int) -> list[int]:
         new[1 : j + 1] = polys[j - 1, :j]
         new[:j] -= int(h[j - 1, j - 1]) * polys[j - 1, :j]
         new %= p
-        prod = 1
-        for i in range(j - 1, 0, -1):
-            prod = (prod * int(h[i, i - 1])) % p
-            if prod == 0:
-                break
-            top = int(h[i - 1, j - 1])
-            if top:
-                new[:i] -= (top * prod % p) * polys[i - 1, :i]
-        polys[j] = new % p
+        prod, stop = 1, j - 1
+        while stop > 0 and prod:
+            start, stop = stop, max(stop - _CHUNK, 0)
+            for i in range(start, stop, -1):
+                prod = (prod * int(h[i, i - 1])) % p
+                if prod == 0:
+                    break
+                top = int(h[i - 1, j - 1])
+                if top:
+                    new[:i] -= (top * prod % p) * polys[i - 1, :i]
+            new %= p
+        polys[j] = new
     return [int(c) for c in polys[n]]
 
 
@@ -280,15 +294,18 @@ def char_poly(g: Graph) -> IntPolynomial:
         return IntPolynomial([1])
     mat = np.array(g.adjacency_rows(), dtype=np.int64)
     primes = _modular_primes(2 * _coeff_bound(n))
-    rows = [_charpoly_mod(mat, p) for p in primes]
+    rows = [_charpoly_mod(_hessenberg_mod(mat, p), p) for p in primes]
     coeffs = [
         _crt_symmetric([row[i] for row in rows], primes) for i in range(n + 1)
     ]
     poly = IntPolynomial(coeffs)
     # free self-checks: monic, trace zero, x^(n-2) coefficient counts edges
-    assert poly.degree == n and poly.is_monic
-    assert poly.coefficient(n - 1) == 0
-    assert n < 2 or poly.coefficient(n - 2) == -g.edge_count
+    if poly.degree != n or not poly.is_monic:
+        raise SelfCheckFailed(f"char poly of order {n} is not monic of degree {n}")
+    if poly.coefficient(n - 1) != 0:
+        raise SelfCheckFailed("char poly has a nonzero trace coefficient")
+    if n >= 2 and poly.coefficient(n - 2) != -g.edge_count:
+        raise SelfCheckFailed(f"char poly x^(n-2) coefficient is not -{g.edge_count}")
     return poly
 
 
@@ -370,10 +387,8 @@ def numeric_spectrum(g: Graph, tolerance: float) -> list[tuple[float, int]]:
     for cl in reversed(clusters):
         center = sum(cl) / len(cl)
         lo, hi = Fraction(center - tolerance), Fraction(center + tolerance)
-        certified = (
-            reduced.evaluate(lo) == 0 or count_roots_in(reduced, lo, hi) > 0
-        )
-        assert certified, f"cluster at {center} matches no exact eigenvalue"
+        if reduced.evaluate(lo) != 0 and count_roots_in(reduced, lo, hi) == 0:
+            raise SelfCheckFailed(f"cluster at {center} matches no exact eigenvalue")
         out.append((center, len(cl)))
     return out
 

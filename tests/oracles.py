@@ -43,6 +43,25 @@ def berkowitz_charpoly(g: Graph) -> list[int]:
     return list(reversed(vec))
 
 
+def hessenberg_det_mod(h, x0, p):
+    """det(x0*I - h) mod p for upper Hessenberg h, by elimination on Python
+    ints; one subdiagonal entry per column keeps it O(n^2)."""
+    n = len(h)
+    m = [[-v % p for v in row] for row in h]
+    for i in range(n):
+        m[i][i] = (m[i][i] + x0) % p
+    det = 1
+    for k in range(n):
+        if k + 1 < n and m[k + 1][k]:
+            if m[k][k] == 0:
+                m[k], m[k + 1] = m[k + 1], m[k]
+                det = -det
+            f = m[k + 1][k] * pow(m[k][k], -1, p) % p
+            m[k + 1][k:] = [(a - f * b) % p for a, b in zip(m[k + 1][k:], m[k][k:])]
+        det = det * m[k][k] % p
+    return det % p
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     """Try every vertex bijection; exponential, n <= 8."""
     assert g.n <= 8

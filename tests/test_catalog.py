@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flagspec import catalog
 from flagspec.catalog import (
     BIPLANE_IDS,
     CATALOG_IDS,
@@ -11,9 +12,9 @@ from flagspec.catalog import (
     reference_graph,
 )
 from flagspec.designs import design_to_json, validate_design
-from flagspec.errors import UnknownCatalogId, UnknownGraphName
+from flagspec.errors import SelfCheckFailed, UnknownCatalogId, UnknownGraphName
 from flagspec.graphs import cycle_graph, girth
-from flagspec.regularity import classify
+from flagspec.regularity import RegularityProfile, classify
 
 EXPECTED_PARAMS = {
     "biplane-4-3-2": (4, 4, 3, 3, 2),
@@ -64,6 +65,18 @@ def test_coxeter_reference():
     assert g.n == 28
     assert all(g.degree(v) == 3 for v in range(28))
     assert girth(g) == 7
+
+
+def test_reference_checks_raise(monkeypatch):
+    not_srg = RegularityProfile(
+        16, frozenset({5}), frozenset({0}), frozenset({1}), "SRG"
+    )
+    monkeypatch.setattr(catalog, "classify", lambda g: not_srg)
+    with pytest.raises(SelfCheckFailed, match="Clebsch"):
+        reference_graph("clebsch")
+    monkeypatch.setattr(catalog, "girth", lambda g: 6)
+    with pytest.raises(SelfCheckFailed, match="Coxeter"):
+        reference_graph("coxeter")
 
 
 def test_cycle_reference():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import flagspec.cli as cli
+from flagspec import spectra
 from flagspec.graphs import graph_from_graph6
 from flagspec.reporting import CriterionResult, ReproductionReport
 
@@ -87,6 +88,17 @@ def test_gamma1_json_output_reloads_as_graph(capsys, tmp_path):
     code, profile = run_json(capsys, "classify", str(path))
     assert code == 0
     assert profile["classification"] == "QSRG"
+
+
+def test_self_check_failure_exits_two(capsys, monkeypatch, tmp_path):
+    code, out = run(capsys, "incidence", "catalog:fano-7-3-1", "--format",
+                    "graph6")
+    path = tmp_path / "inc.g6"
+    path.write_text(out)
+    monkeypatch.setattr(spectra, "_modular_primes", lambda beyond: [7])
+    code, obj = run_json(capsys, "charpoly", str(path))
+    assert code == 2
+    assert obj["error"]["type"] == "SelfCheckFailed"
 
 
 def test_gamma2_rejects_non_biplane(capsys):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flagspec import designs
 from flagspec.designs import (
     Design,
     DesignParams,
@@ -17,6 +18,7 @@ from flagspec.errors import (
     NonIntegralParams,
     PairCountMismatch,
     RepeatedBlock,
+    SelfCheckFailed,
     TrivialDesign,
     UnequalBlockSizes,
 )
@@ -139,8 +141,16 @@ def test_flag_enumeration_order():
     d = Design(4, [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]])
     flags = enumerate_flags(d)
     assert len(flags) == 12
-    assert flags[:4] == [(0, 0), (1, 0), (2, 0), (0, 1)]
-    assert flags == sorted(flags, key=lambda f: (f.block_index, f.point))
+    assert flags[:4] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+    assert flags == sorted(flags, key=lambda f: (f.point, f.block_index))
+
+
+def test_replication_check_raises(monkeypatch):
+    # pair balance forces uniform replication, so the check can only fire
+    # when pair counting is bypassed: here it sees no pairs at all
+    monkeypatch.setattr(designs, "combinations", lambda items, r: iter(()))
+    with pytest.raises(SelfCheckFailed, match="replication"):
+        validate_design(Design(4, [[0, 1], [0, 2], [0, 3]]))
 
 
 def test_incidence_graph_shape(catalog_designs):

@@ -1,6 +1,12 @@
 import pytest
 
-from flagspec.designs import Design, enumerate_flags, incidence_graph
+from flagspec.catalog import BIPLANE_IDS, CATALOG_IDS
+from flagspec.designs import (
+    Design,
+    design_from_difference_set,
+    enumerate_flags,
+    incidence_graph,
+)
 from flagspec.errors import NotABiplane, RepeatedBlock
 from flagspec.flag_graphs import flag_graph_to_json, gamma1, gamma2
 from flagspec.graphs import girth, graph_from_json, line_graph
@@ -20,14 +26,24 @@ def test_gamma1_flag_order_and_index(catalog_designs):
     d = catalog_designs["biplane-4-3-2"]
     fg = gamma1(d)
     assert list(fg.flags) == sorted(fg.flags)  # lex by (point, block_index)
-    assert set(fg.flags) == set(enumerate_flags(d))
-    for i, f in enumerate(fg.flags):
-        assert fg.flag_index(f) == i
+    assert list(fg.flags) == enumerate_flags(d)
 
 
-def test_gamma1_adjacency_rule(catalog_designs):
-    d = catalog_designs["biplane-7-4-2"]
-    fg = gamma1(d)
+# every catalog design, plus one built by the difference-set construction
+# (the (11,5,2) biplane from the quadratic residues mod 11)
+DESIGN_IDS = CATALOG_IDS + ("qr-11",)
+BIPLANE_DESIGN_IDS = BIPLANE_IDS + ("qr-11",)
+
+
+def _design(catalog_designs, did):
+    if did == "qr-11":
+        return design_from_difference_set(11, [1, 3, 4, 5, 9])
+    return catalog_designs[did]
+
+
+@pytest.mark.parametrize("did", DESIGN_IDS)
+def test_gamma1_adjacency_rule(catalog_designs, did):
+    fg = gamma1(_design(catalog_designs, did))
     for x in range(fg.graph.n):
         for y in range(x + 1, fg.graph.n):
             p, c = fg.flags[x]
@@ -36,8 +52,9 @@ def test_gamma1_adjacency_rule(catalog_designs):
             assert fg.graph.has_edge(x, y) == expected
 
 
-def test_gamma2_adjacency_rule(catalog_designs):
-    d = catalog_designs["biplane-7-4-2"]
+@pytest.mark.parametrize("did", BIPLANE_DESIGN_IDS)
+def test_gamma2_adjacency_rule(catalog_designs, did):
+    d = _design(catalog_designs, did)
     fg = gamma2(d)
     blocks = [frozenset(b) for b in d.blocks]
     for x in range(fg.graph.n):

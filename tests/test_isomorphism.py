@@ -4,7 +4,14 @@ import time
 import pytest
 
 from flagspec.designs import Design
-from flagspec.graphs import Graph, complete_graph, cycle_graph, graph_to_graph6, line_graph
+from flagspec.graphs import (
+    Graph,
+    complete_graph,
+    connected_components,
+    cycle_graph,
+    graph_to_graph6,
+    line_graph,
+)
 from flagspec.isomorphism import canonical_form, design_isomorphic, is_isomorphic
 
 from oracles import brute_isomorphic
@@ -21,11 +28,19 @@ def shuffled(g, rng):
     return g.relabel(perm)
 
 
-def test_certificate_is_graph6_of_canonical_relabeling():
-    g = cycle_graph(6)
-    cf = canonical_form(g)
-    relabeled = g.relabel(list(cf.permutation))
-    assert cf.certificate == graph_to_graph6(relabeled).encode("ascii")
+def test_certificate_is_graph6_of_canonical_relabeling(gamma1_graphs, gamma2_graphs):
+    # the cycle and D1's gamma1 are connected and take their certificate
+    # from a search leaf; D1's gamma2 has 6 components, reassembled
+    cases = [
+        (cycle_graph(6), 1),
+        (gamma1_graphs["biplane-16-6-2-D1"].graph, 1),
+        (gamma2_graphs["biplane-16-6-2-D1"].graph, 6),
+    ]
+    for g, parts in cases:
+        assert len(connected_components(g)) == parts
+        cf = canonical_form(g)
+        relabeled = g.relabel(list(cf.permutation))
+        assert cf.certificate == graph_to_graph6(relabeled).encode("ascii")
 
 
 def test_decision_matches_brute_force():

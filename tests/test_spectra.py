@@ -2,11 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
 
+from flagspec import spectra
 from flagspec.designs import DesignParams
-from flagspec.errors import NonIntegralClaim
+from flagspec.errors import NonIntegralClaim, SelfCheckFailed
 from flagspec.graphs import Graph, complete_graph, cycle_graph
 from flagspec.polynomials import IntPolynomial
 from flagspec.spectra import (
@@ -24,7 +26,7 @@ from flagspec.spectra import (
     verify_spectrum,
 )
 
-from oracles import berkowitz_charpoly
+from oracles import berkowitz_charpoly, hessenberg_det_mod
 
 
 def ev(a, b=0, d=0):
@@ -200,3 +202,83 @@ def test_numeric_spectrum_separates_close_values(gamma1_graphs):
 def test_numeric_spectrum_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         numeric_spectrum(cycle_graph(4), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# self-checks raise, so python -O keeps them
+# ---------------------------------------------------------------------------
+
+def test_char_poly_edge_count_check_catches_a_short_modulus(monkeypatch):
+    # one prime below the coefficient bound: CRT returns -8 mod 7 as -1
+    monkeypatch.setattr(spectra, "_modular_primes", lambda beyond: [7])
+    with pytest.raises(SelfCheckFailed, match="coefficient is not -8"):
+        char_poly(cycle_graph(8))
+
+
+@pytest.mark.parametrize("offset, message", [
+    (0, "not monic"),
+    (1, "trace"),
+    (2, "coefficient is not -5"),
+])
+def test_char_poly_self_checks_raise(monkeypatch, offset, message):
+    real = spectra._charpoly_mod
+
+    def tampered(h, p):
+        row = real(h, p)
+        row[len(row) - 1 - offset] += 1
+        return row
+
+    monkeypatch.setattr(spectra, "_charpoly_mod", tampered)
+    with pytest.raises(SelfCheckFailed, match=message):
+        char_poly(cycle_graph(5))
+
+
+def test_numeric_spectrum_certification_raises(monkeypatch):
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", lambda a: real(a) + 0.5)
+    with pytest.raises(SelfCheckFailed, match="matches no exact eigenvalue"):
+        numeric_spectrum(complete_graph(4), 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# int64 limits of the modular arithmetic
+# ---------------------------------------------------------------------------
+
+P27 = (1 << 27) - 39  # a 27-bit prime: residue products come near 2^54
+
+
+def test_charpoly_recurrence_survives_adversarial_residues():
+    # unit subdiagonal, random diagonal, and last columns filled with
+    # residues just below p: the last steps of the recurrence subtract
+    # about n products near p^2 / 2 each, past the int64 range at n > 1024
+    n = 1100
+    rng = np.random.default_rng(1)
+    h = np.zeros((n, n), dtype=np.int64)
+    h[np.arange(n), np.arange(n)] = rng.integers(0, P27, size=n)
+    h[:, -8:] = np.triu(rng.integers(P27 - (1 << 20), P27, size=(n, 8)), 8 - n)
+    h[np.arange(1, n), np.arange(n - 1)] = 1
+    coeffs = spectra._charpoly_mod(h, P27)
+    rows = h.tolist()
+    for x0 in (2, 12345, P27 - 7):
+        value = 0
+        for c in reversed(coeffs):
+            value = (value * x0 + c) % P27
+        assert value == hessenberg_det_mod(rows, x0, P27)
+
+
+def test_hessenberg_reduction_survives_adversarial_residues():
+    # the first column operation sums n - 2 products (p-1)^2 per row
+    n = 600
+    m = np.full((n, n), P27 - 1, dtype=np.int64)
+    m[1] = 0
+    m[1, 0] = 1
+    h = spectra._hessenberg_mod(m, P27)
+    assert not np.tril(h, -2).any()
+
+    def trace_of_square(a):
+        a = a.astype(object)
+        return int((a * a.T).sum()) % P27
+
+    # similarity keeps tr(A) and tr(A^2)
+    assert np.trace(h) % P27 == np.trace(m) % P27
+    assert trace_of_square(h) == trace_of_square(m)
