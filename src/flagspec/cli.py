@@ -108,6 +108,13 @@ def _load_graph(ref: str) -> Graph:
     return graph_from_graph6(text.splitlines()[0])
 
 
+def _load_claim(path: str):
+    obj = json.loads(_read(path))
+    if isinstance(obj, dict) and "claim" in obj and "entries" not in obj:
+        obj = obj["claim"]
+    return claim_from_json(obj)
+
+
 def _graph_payload(g: Graph, fmt: str):
     if fmt == "graph6":
         return graph_to_graph6(g)
@@ -185,7 +192,7 @@ def _cmd_spectrum(args):
     out: dict = {"n": g.n}
     code = 0
     if args.claim is not None:
-        claim = claim_from_json(json.loads(_read(args.claim)))
+        claim = _load_claim(args.claim)
         verified = verify_spectrum(g, claim)
         out["claim"] = claim_to_text(claim)
         out["verified"] = verified

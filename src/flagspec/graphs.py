@@ -197,9 +197,13 @@ def graph_from_json(obj) -> Graph:
         raise ValueError("'n' must be an integer")
     edges = []
     for e in obj["edges"]:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2):
+        if not (
+            isinstance(e, (list, tuple))
+            and len(e) == 2
+            and all(isinstance(x, int) for x in e)
+        ):
             raise ValueError(f"bad edge entry {e!r}")
-        edges.append((int(e[0]), int(e[1])))
+        edges.append((e[0], e[1]))
     return Graph(n, edges)
 
 
@@ -269,19 +273,15 @@ def graph_from_graph6(s: str | bytes) -> Graph:
         raise ValueError(
             f"graph6 body has {len(body)} bytes, expected {(nbits + 5) // 6}"
         )
-    bits = []
-    for c in body:
-        val = c - 63
-        if not 0 <= val < 64:
-            raise ValueError(f"graph6 byte {c} out of range")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    if any(bits[nbits:]):
+    raw = np.frombuffer(body, dtype=np.uint8)
+    bad = (raw < 63) | (raw > 126)
+    if bad.any():
+        raise ValueError(f"graph6 byte {int(raw[bad][0])} out of range")
+    bits = np.unpackbits((raw - 63)[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
         raise ValueError("nonzero padding bits in graph6 body")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, edges)
+    # row-major lower-triangle pairs (hi, lo) follow the encoder's
+    # column-major upper-triangle bit order (lo, hi)
+    hi, lo = np.tril_indices(n, -1)
+    on = bits[:nbits].astype(bool)
+    return Graph(n, zip(lo[on].tolist(), hi[on].tolist()))

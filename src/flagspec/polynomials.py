@@ -1,54 +1,18 @@
 """Exact integer-coefficient polynomials.
 
-Coefficients are stored in ascending degree order.  Everything here is
-integer or Fraction arithmetic; no floating point.  The module also
-provides primitive-PRS gcd, square-free parts, and Sturm chains, which the
-spectra module uses to certify numeric eigenvalue clusters against exact
-characteristic polynomials.
+Coefficients are stored in ascending degree order.  Arithmetic, division,
+gcd, square-free parts and Sturm chains are integer-only (division is
+pseudo-division); only count_roots_in evaluates at rational endpoints.
+No floating point.  The spectra module uses the Sturm chains to certify
+numeric eigenvalue clusters against exact characteristic polynomials.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-
-
-def poly_add(a, b):
-    """Coefficient-list sum (works for int or Fraction entries)."""
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def poly_mul(a, b):
-    """Coefficient-list product (works for int or Fraction entries)."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if not ca:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return out
-
-
-def poly_pow(a, e: int):
-    out = [1]
-    for _ in range(e):
-        out = poly_mul(out, a)
-    return out
-
-
-def poly_eval(coeffs, x):
-    """Horner evaluation; exact when coeffs and x are int or Fraction."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+from itertools import zip_longest
 
 
 class IntPolynomial:
@@ -60,12 +24,14 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [int(c) for c in coeffs]
+        try:
+            # operator.index admits int and numpy integers, never a float
+            # or Fraction that int() would truncate
+            cs = [operator.index(c) for c in coeffs]
+        except TypeError:
+            raise TypeError("coefficients must be integers") from None
         while cs and cs[-1] == 0:
             cs.pop()
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError("coefficients must be integers")
         self.coeffs = tuple(cs)
 
     @property
@@ -99,7 +65,8 @@ class IntPolynomial:
         return hash(self.coeffs)
 
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return IntPolynomial(poly_add(self.coeffs, other.coeffs))
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return IntPolynomial([x + y for x, y in pairs])
 
     def __neg__(self) -> "IntPolynomial":
         return IntPolynomial([-c for c in self.coeffs])
@@ -110,13 +77,24 @@ class IntPolynomial:
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPolynomial([c * other for c in self.coeffs])
-        return IntPolynomial(poly_mul(self.coeffs, other.coeffs))
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return IntPolynomial([])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    out[i + j] += ca * cb
+        return IntPolynomial(out)
 
     __rmul__ = __mul__
 
     def evaluate(self, x):
-        """Exact value at x (int or Fraction in, same kind out)."""
-        return poly_eval(self.coeffs, x)
+        """Exact value at x by Horner (int or Fraction in, same kind out)."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            acc = acc * x + c
+        return acc
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -159,44 +137,45 @@ class IntPolynomial:
 
 def _divmod(
     a: IntPolynomial, b: IntPolynomial
-) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a by b over the rationals, as Fraction
-    lists in ascending order; the remainder has no trailing zeros."""
+) -> tuple[list[int], list[int], int]:
+    """Integer pseudo-division: (q, r, s) with s*a = q*b + r, deg r < deg b.
+
+    s = |lead(b)|^(deg a - deg b + 1), or 1 when deg a < deg b.  With the
+    absolute value, r is a *positive* multiple of the remainder of a by b
+    over the rationals, so it has that remainder's signs everywhere, which
+    the Sturm sign-variation counts depend on.  q and r are ascending int
+    lists; r has no trailing zeros.
+    """
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a.coeffs]
-    db, lead = b.degree, b.leading
-    quot = [Fraction(0)] * max(0, len(rem) - db)
-    while rem and len(rem) - 1 >= db:
-        q = rem[-1] / lead
-        shift = len(rem) - 1 - db
-        quot[shift] = q
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
+    rem = list(a.coeffs)
+    low = b.coeffs[:-1]
+    scale, sign = abs(b.leading), (1 if b.leading > 0 else -1)
+    steps = max(0, len(rem) - b.degree)
+    quot = [0] * steps
+    for shift in range(steps - 1, -1, -1):
+        # scale by |lead(b)|, then cancel the top term with sign*c*x^shift*b
+        c = rem.pop()
+        if scale != 1:
+            rem = [scale * x for x in rem]
+            quot = [scale * x for x in quot]
+        if c:
+            quot[shift] = sign * c
+            for i, bc in enumerate(low):
+                rem[shift + i] -= sign * c * bc
+    while rem and rem[-1] == 0:
         rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return quot, rem
-
-
-def _primitive_from_fractions(fr: list[Fraction]) -> IntPolynomial:
-    """Scale by a positive rational to a primitive integer polynomial."""
-    if not fr:
-        return IntPolynomial([])
-    den = math.lcm(*(f.denominator for f in fr))
-    ints = [int(f * den) for f in fr]
-    g = math.gcd(*ints)
-    return IntPolynomial([c // g for c in ints])
+    return quot, rem, scale**steps
 
 
 def exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     """Quotient num/den, required to be exact over the integers."""
-    quot, rem = _divmod(num, den)
+    quot, rem, scale = _divmod(num, den)
     if rem:
         raise ValueError("division is not exact")
-    if any(q.denominator != 1 for q in quot):
+    if any(q % scale for q in quot):
         raise ValueError("quotient is not an integer polynomial")
-    return IntPolynomial([int(q) for q in quot])
+    return IntPolynomial([q // scale for q in quot])
 
 
 def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
@@ -207,8 +186,7 @@ def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """
     p, q = a.primitive(), b.primitive()
     while not q.is_zero:
-        rem = _primitive_from_fractions(_divmod(p, q)[1])
-        p, q = q, rem
+        p, q = q, IntPolynomial(_divmod(p, q)[1]).primitive()
     if p.is_zero:
         return p
     return p if p.leading > 0 else -p
@@ -218,22 +196,21 @@ def square_free_part(p: IntPolynomial) -> IntPolynomial:
     """p divided by gcd(p, p'): same roots, all simple."""
     if p.degree < 1:
         return p
+    prim = p.primitive() if p.leading > 0 else -p.primitive()
     g = poly_gcd(p, p.derivative())
-    if g.degree < 1:
-        return p.primitive() if p.leading > 0 else -p.primitive()
-    return exact_div(p.primitive() if p.leading > 0 else -p.primitive(), g)
+    return prim if g.degree < 1 else exact_div(prim, g)
 
 
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     """Sturm sequence of a square-free polynomial.
 
-    Each remainder is negated and rescaled to a primitive integer
-    polynomial; positive rescaling preserves the sign-variation counts the
-    root-counting theorem needs.
+    Each pseudo-remainder is negated and reduced to its primitive part;
+    both scalings are positive, so the sign-variation counts the
+    root-counting theorem needs are those of the rational chain.
     """
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
-        rem = _primitive_from_fractions(_divmod(chain[-2], chain[-1])[1])
+        rem = IntPolynomial(_divmod(chain[-2], chain[-1])[1]).primitive()
         if rem.is_zero:
             break
         chain.append(-rem)

@@ -5,9 +5,9 @@ adjacency matrix: the matrix is reduced to Hessenberg form modulo several
 27-bit primes, the Hessenberg determinant recurrence produces the
 polynomial mod each prime, and the integer coefficients are reconstructed
 by the Chinese remainder theorem against a rigorous coefficient bound
-(binomial times Hadamard on principal minors).  No floating point touches
-any verification verdict; spectrum claims carry eigenvalues of the form
-a + b*sqrt(d) and are checked by exact polynomial identity.
+computed from the vertex and edge counts.  No floating point touches any
+verification verdict; spectrum claims carry eigenvalues of the form
+a + b*sqrt(d) and are checked by exact polynomial identity in Z[x].
 """
 
 from __future__ import annotations
@@ -23,13 +23,7 @@ import numpy as np
 from .designs import DesignParams
 from .errors import NonIntegralClaim, SelfCheckFailed
 from .graphs import Graph
-from .polynomials import (
-    IntPolynomial,
-    count_roots_in,
-    poly_mul,
-    poly_pow,
-    square_free_part,
-)
+from .polynomials import IntPolynomial, count_roots_in, square_free_part
 
 
 def _square_free_factor(m: int) -> tuple[int, int]:
@@ -152,21 +146,29 @@ def claim_to_polynomial(c: SpectrumClaim) -> IntPolynomial:
     """Expand the claim to its monic polynomial over the integers.
 
     Rational entries contribute (x - a)^m, conjugate pairs contribute
-    (x^2 - 2a x + (a^2 - b^2 d))^m.  A product with any non-integer
-    coefficient raises NonIntegralClaim.
+    (x^2 - 2a x + (a^2 - b^2 d))^m.  These factors are irreducible over Q,
+    and by Gauss's lemma a monic product lies in Z[x] exactly when each of
+    its monic irreducible factors does, so a factor with a non-integer
+    coefficient raises NonIntegralClaim before anything is expanded.
     """
-    poly = [Fraction(1)]
+    factors = []
     for ev, m in c.entries:
+        if ev.b < 0:
+            continue  # expanded together with its conjugate
         if ev.b == 0:
-            poly = poly_mul(poly, poly_pow([-ev.a, Fraction(1)], m))
-        elif ev.b > 0:
-            const = ev.a * ev.a - ev.b * ev.b * ev.d
-            poly = poly_mul(poly, poly_pow([const, -2 * ev.a, Fraction(1)], m))
-    if any(Fraction(x).denominator != 1 for x in poly):
-        raise NonIntegralClaim(
-            "claim expands to non-integer polynomial coefficients"
-        )
-    return IntPolynomial([int(x) for x in poly])
+            coeffs = [-ev.a, 1]
+        else:
+            coeffs = [ev.a * ev.a - ev.b * ev.b * ev.d, -2 * ev.a, 1]
+        if any(x.denominator != 1 for x in coeffs[:-1]):
+            raise NonIntegralClaim(
+                "claim expands to non-integer polynomial coefficients"
+            )
+        factors.append((IntPolynomial([int(x) for x in coeffs]), m))
+    poly = IntPolynomial([1])
+    for factor, m in factors:
+        for _ in range(m):
+            poly = poly * factor
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +186,21 @@ def _small_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit) if sieve[i])
 
 
-def _coeff_bound(n: int) -> int:
-    """Bound B with every char-poly coefficient of a 0/1 symmetric n-matrix
-    having absolute value < B.
+def _coeff_bound(n: int, m: int) -> int:
+    """Bound B >= |c| for every char-poly coefficient c of a graph with n
+    vertices and m edges: B = (1 + t)^n with t = ceil(sqrt(2m/n)).
 
-    The x^(n-k) coefficient is a sum of C(n,k) principal k-minors, each at
-    most sqrt(k^k) in absolute value by Hadamard's inequality.
+    The x^(n-k) coefficient is +-e_k(lambda), the k-th elementary symmetric
+    function of the eigenvalues.  |e_k(lambda)| <= e_k(|lambda|) <=
+    C(n,k) * mean(|lambda|)^k by Maclaurin's inequality, and mean(|lambda|)
+    <= sqrt(tr(A^2)/n) = sqrt(2m/n) <= t.  Each coefficient is therefore at
+    most C(n,k) * t^k, one term of sum_k C(n,k) * t^k = (1 + t)^n.
     """
-    best = 1
-    for k in range(1, n + 1):
-        root = math.isqrt(k**k)
-        if root * root < k**k:
-            root += 1
-        best = max(best, math.comb(n, k) * root)
-    return best + 1
+    ratio = -(-2 * m // n)  # ceil(2m/n); t^2 >= 2m/n iff t^2 >= ratio
+    t = math.isqrt(ratio)
+    if t * t < ratio:
+        t += 1
+    return (1 + t) ** n
 
 
 def _modular_primes(beyond: int) -> list[int]:
@@ -293,7 +296,7 @@ def char_poly(g: Graph) -> IntPolynomial:
     if n == 0:
         return IntPolynomial([1])
     mat = np.array(g.adjacency_rows(), dtype=np.int64)
-    primes = _modular_primes(2 * _coeff_bound(n))
+    primes = _modular_primes(2 * _coeff_bound(n, g.edge_count))
     rows = [_charpoly_mod(_hessenberg_mod(mat, p), p) for p in primes]
     coeffs = [
         _crt_symmetric([row[i] for row in rows], primes) for i in range(n + 1)
@@ -416,12 +419,17 @@ def claim_from_json(obj) -> SpectrumClaim:
     for item in obj["entries"]:
         if not isinstance(item, dict) or "multiplicity" not in item:
             raise ValueError(f"bad claim entry {item!r}")
+        d, mult = item.get("d", 0), item["multiplicity"]
+        if not (isinstance(d, int) and isinstance(mult, int)):
+            raise ValueError(
+                f"'d' and 'multiplicity' must be integers in {item!r}"
+            )
         ev = AlgebraicEigenvalue(
             Fraction(str(item.get("a", 0))),
             Fraction(str(item.get("b", 0))),
-            int(item.get("d", 0)),
+            d,
         )
-        entries.append((ev, int(item["multiplicity"])))
+        entries.append((ev, mult))
     return SpectrumClaim(entries)
 
 

@@ -7,6 +7,7 @@ counts from literal pair enumeration.  Slow is fine here; agreeing with the
 fast paths is the point.
 """
 
+from fractions import Fraction
 from itertools import combinations, permutations
 
 from flagspec.graphs import Graph
@@ -60,6 +61,29 @@ def hessenberg_det_mod(h, x0, p):
             m[k + 1][k:] = [(a - f * b) % p for a, b in zip(m[k + 1][k:], m[k][k:])]
         det = det * m[k][k] % p
     return det % p
+
+
+def fraction_claim_polynomial(claim) -> list[Fraction]:
+    """Ascending rational coefficients of a spectrum claim's polynomial.
+
+    Expands (x - a)^m for rational entries and (x^2 - 2a x + a^2 - b^2 d)^m
+    once per conjugate pair, term by term over the rationals.
+    """
+    poly = [Fraction(1)]
+    for ev, m in claim.entries:
+        if ev.b == 0:
+            factor = [-ev.a, Fraction(1)]
+        elif ev.b > 0:
+            factor = [ev.a * ev.a - ev.b * ev.b * ev.d, -2 * ev.a, Fraction(1)]
+        else:
+            continue
+        for _ in range(m):
+            out = [Fraction(0)] * (len(poly) + len(factor) - 1)
+            for i, x in enumerate(poly):
+                for j, y in enumerate(factor):
+                    out[i + j] += x * y
+            poly = out
+    return poly
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

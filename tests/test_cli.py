@@ -248,3 +248,37 @@ def test_catalog_dir_override_via_env(capsys, tmp_path, monkeypatch):
     code, shown = run_json(capsys, "catalog", "show", "biplane-4-3-2")
     assert code == 0
     assert shown["provenance"] == "from override"
+
+
+def test_formula_output_feeds_spectrum_claim(capsys, tmp_path):
+    # the README workflow: the whole `formula` output is a valid --claim file
+    code, out = run(capsys, "gamma1", "catalog:fano-7-3-1", "--format",
+                    "graph6")
+    graph_path = tmp_path / "fano-g1.g6"
+    graph_path.write_text(out)
+    code, out = run(capsys, "formula", "gamma1", "--params", "7,7,3,3,1")
+    assert code == 0
+    claim_path = tmp_path / "claim.json"
+    claim_path.write_text(out)
+    code, verdict = run_json(capsys, "spectrum", str(graph_path), "--claim",
+                             str(claim_path), "--numeric")
+    assert code == 0
+    assert verdict["verified"] is True
+
+
+def test_non_integer_json_numbers_exit_two(capsys, tmp_path):
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"n": 3, "edges": [[0, 1.9]]}))
+    code, obj = run_json(capsys, "charpoly", str(graph_path))
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+
+    graph_path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    claim_path = tmp_path / "claim.json"
+    claim_path.write_text(json.dumps(
+        {"entries": [{"a": "1", "multiplicity": 1},
+                     {"a": "-1", "multiplicity": 1.5}]}))
+    code, obj = run_json(capsys, "spectrum", str(graph_path), "--claim",
+                         str(claim_path))
+    assert code == 2
+    assert obj["error"]["type"] == "format"

@@ -3,6 +3,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspec.errors import SameVertex
 from flagspec.graphs import (
@@ -136,3 +138,30 @@ def test_graph6_extended_header_round_trip():
     s = graph_to_graph6(g)
     assert s.startswith("~")
     assert graph_from_graph6(s) == g
+
+
+def test_json_rejects_non_integer_endpoints():
+    # int() would truncate 1.9 to the edge (0, 1)
+    with pytest.raises(ValueError, match="bad edge entry"):
+        graph_from_json({"n": 3, "edges": [[0, 1.9]]})
+    with pytest.raises(ValueError, match="bad edge entry"):
+        graph_from_json({"n": 3, "edges": [[0, "1"]]})
+
+
+def test_graph6_rejects_out_of_range_bytes_and_padding():
+    with pytest.raises(ValueError, match="out of range"):
+        graph_from_graph6("D?" + chr(62))
+    # n = 2 uses one of the six body bits; the other five must be zero
+    assert graph_from_graph6("A_") == complete_graph(2)
+    with pytest.raises(ValueError, match="padding"):
+        graph_from_graph6("A" + chr(63 + 0b100001))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 130), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_graph6_round_trip_property(n, p, seed):
+    g = _random_graph(n, p, random.Random(seed))
+    s = graph_to_graph6(g)
+    assert graph_from_graph6(s) == g
+    back = nx.from_graph6_bytes(s.encode("ascii"))
+    assert Graph(back.number_of_nodes(), list(back.edges())) == g

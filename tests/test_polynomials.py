@@ -1,16 +1,18 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspec.polynomials import (
     IntPolynomial,
+    _divmod,
     count_roots_in,
     exact_div,
-    poly_eval,
     poly_gcd,
-    poly_mul,
     square_free_part,
     sturm_chain,
 )
@@ -46,8 +48,8 @@ def test_arithmetic_and_evaluation():
     assert (p * 3).coeffs == (3, 0, 3)
     assert p.evaluate(2) == 5
     assert p.evaluate(Fraction(1, 2)) == Fraction(5, 4)
-    assert poly_eval([1, 0, 1], 2) == 5
-    assert poly_mul([1, 1], [1, 1]) == [1, 2, 1]
+    assert IntPolynomial([1, 0, 1]).evaluate(-3) == 10
+    assert (IntPolynomial([1, 1]) * IntPolynomial([1, 1])).coeffs == (1, 2, 1)
 
 
 def test_derivative_content_primitive():
@@ -110,6 +112,10 @@ def test_sturm_root_counts():
     q = IntPolynomial([-4, 0, 1])  # roots at +-2
     assert count_roots_in(q, Fraction(0), Fraction(2)) == 1
     assert count_roots_in(q, Fraction(2), Fraction(3)) == 0
+    # x^4 + x: the chain divides by -x with a degree gap of two, so the
+    # pseudo-division scale |lead|^3 must stay positive
+    assert count_roots_in(IntPolynomial([0, 1, 0, 0, 1]), Fraction(-5),
+                          Fraction(5)) == 2
 
 
 def test_sturm_counts_match_sympy():
@@ -135,3 +141,100 @@ def test_sturm_chain_shape():
     assert chain[0] == p
     assert chain[1] == p.derivative()
     assert chain[-1].degree == 0
+
+
+def test_construction_rejects_non_integers():
+    # int() would truncate these to the zero polynomial and x + 2
+    with pytest.raises(TypeError):
+        IntPolynomial([Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        IntPolynomial([2.7, 1])
+    p = IntPolynomial([np.int64(3), True])
+    assert p.coeffs == (3, 1)
+    assert all(type(c) is int for c in p.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# property tests against sympy, negative leading coefficients included
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=150)
+
+
+@st.composite
+def polys(draw, min_degree=0, max_degree=5):
+    degree = draw(st.integers(min_degree, max_degree))
+    low = draw(st.lists(st.integers(-6, 6), min_size=degree, max_size=degree))
+    lead = draw(st.integers(-4, 4).filter(bool))
+    return IntPolynomial(low + [lead])
+
+
+def normalized(p):
+    """Primitive part with positive leading coefficient, as a sympy Poly."""
+    prim = p.primitive()[1]
+    return -prim if prim.LC() < 0 else prim
+
+
+@PROPERTY
+@given(polys(), polys(), polys(max_degree=3))
+def test_gcd_property(a, b, common):
+    ours = poly_gcd(a * common, b * common)
+    theirs = sympy.gcd(to_sympy(a * common), to_sympy(b * common))
+    assert to_sympy(ours) == normalized(theirs)
+    assert ours.leading > 0 and ours.content() == 1
+
+
+@PROPERTY
+@given(polys(min_degree=1), polys(max_degree=2))
+def test_square_free_part_property(p, q):
+    p = p * q * q
+    ours = square_free_part(p)
+    assert to_sympy(ours) == normalized(sympy.sqf_part(to_sympy(p)))
+
+
+@PROPERTY
+@given(polys(), polys())
+def test_pseudo_division_property(a, b):
+    quot, rem, scale = _divmod(a, b)
+    assert scale == abs(b.leading) ** max(0, a.degree - b.degree + 1)
+    assert IntPolynomial(quot) * b + IntPolynomial(rem) == a * scale
+    _, rational_rem = sympy.div(to_sympy(a), to_sympy(b), domain=sympy.QQ)
+    ours = sympy.Poly(list(reversed(rem)) or [0], X, domain=sympy.QQ)
+    assert ours == rational_rem * scale
+
+
+@PROPERTY
+@given(polys(), polys())
+def test_exact_div_property(a, b):
+    assert exact_div(a * b, b) == a
+    if any(c % 2 for c in a.coeffs):
+        with pytest.raises(ValueError, match="not an integer polynomial"):
+            exact_div(a * b, b * 2)
+    else:
+        half = IntPolynomial([c // 2 for c in a.coeffs])
+        assert exact_div(a * b, b * 2) == half
+    rational_quot, rational_rem = sympy.div(to_sympy(a), to_sympy(b),
+                                            domain=sympy.QQ)
+    if not rational_rem.is_zero:
+        with pytest.raises(ValueError, match="not exact"):
+            exact_div(a, b)
+    elif any(c.q != 1 for c in rational_quot.all_coeffs()):
+        with pytest.raises(ValueError, match="not an integer polynomial"):
+            exact_div(a, b)
+    else:
+        quot = exact_div(a, b)
+        assert list(reversed(quot.coeffs)) == rational_quot.all_coeffs()
+
+
+@PROPERTY
+@given(polys(min_degree=1, max_degree=6), st.integers(-9, 8),
+       st.integers(1, 9))
+def test_sturm_counts_property(p, lo, width):
+    sp = to_sympy(p)
+    hi = lo + width
+    reduced = square_free_part(p)
+    chain = sturm_chain(reduced)
+    assert chain[0] == reduced and chain[1] == reduced.derivative()
+    # endpoints that are roots count on the (lo, hi] side
+    theirs = len({r for r in sympy.real_roots(sp) if lo < r <= hi})
+    assert count_roots_in(reduced, Fraction(lo), Fraction(hi)) == theirs

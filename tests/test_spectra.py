@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspec import spectra
 from flagspec.designs import DesignParams
@@ -26,7 +28,11 @@ from flagspec.spectra import (
     verify_spectrum,
 )
 
-from oracles import berkowitz_charpoly, hessenberg_det_mod
+from oracles import (
+    berkowitz_charpoly,
+    fraction_claim_polynomial,
+    hessenberg_det_mod,
+)
 
 
 def ev(a, b=0, d=0):
@@ -282,3 +288,70 @@ def test_hessenberg_reduction_survives_adversarial_residues():
     # similarity keeps tr(A) and tr(A^2)
     assert np.trace(h) % P27 == np.trace(m) % P27
     assert trace_of_square(h) == trace_of_square(m)
+
+
+# ---------------------------------------------------------------------------
+# integer path: several CRT primes, coefficient bound, claim expansion
+# ---------------------------------------------------------------------------
+
+MULTI_PRIME_GRAPHS = {f"K{n}": complete_graph(n) for n in range(20, 41)}
+MULTI_PRIME_GRAPHS.update(
+    (f"random-{n}-{p}", random_graph(n, p, 1000 + n)) for n, p in
+    ((30, 0.9), (32, 0.75), (34, 0.8), (36, 0.6), (38, 0.85), (40, 0.7))
+)
+
+
+@pytest.mark.parametrize("name", MULTI_PRIME_GRAPHS)
+def test_char_poly_matches_berkowitz_over_several_primes(name):
+    g = MULTI_PRIME_GRAPHS[name]
+    oracle = berkowitz_charpoly(g)
+    assert list(char_poly(g).coeffs) == oracle
+    bound = spectra._coeff_bound(g.n, g.edge_count)
+    assert bound >= max(abs(c) for c in oracle)
+    assert len(spectra._modular_primes(2 * bound)) >= 2
+
+
+@pytest.mark.parametrize("n, m, primes", [(96, 480, 9), (333, 2664, 29)])
+def test_coeff_bound_prime_counts(n, m, primes):
+    # gamma1 of the (16,6,2) and (37,9,2) biplanes: 10- and 16-regular
+    bound = spectra._coeff_bound(n, m)
+    assert len(spectra._modular_primes(2 * bound)) == primes
+
+
+@st.composite
+def claims(draw):
+    entries = []
+    for _ in range(draw(st.integers(0, 4))):
+        a = Fraction(draw(st.integers(-9, 9)),
+                     draw(st.sampled_from([1, 1, 1, 2, 3])))
+        m = draw(st.integers(1, 4))
+        if draw(st.booleans()):
+            entries.append((ev(a), m))
+        else:
+            b = Fraction(draw(st.integers(1, 5)),
+                         draw(st.sampled_from([1, 1, 2, 3])))
+            d = draw(st.sampled_from([2, 3, 4, 5, 8, 12, 13, 17]))
+            entries += [(ev(a, b, d), m), (ev(a, -b, d), m)]
+    return SpectrumClaim(entries)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(claims())
+def test_claim_to_polynomial_matches_fraction_expansion(c):
+    expected = fraction_claim_polynomial(c)
+    if all(x.denominator == 1 for x in expected):
+        ints = [int(x) for x in expected]
+        assert claim_to_polynomial(c) == IntPolynomial(ints)
+    else:
+        with pytest.raises(NonIntegralClaim):
+            claim_to_polynomial(c)
+
+
+def test_claim_from_json_rejects_non_integers():
+    entry = {"a": "2", "b": "1", "d": 2, "multiplicity": 3}
+    with pytest.raises(ValueError, match="must be integers"):
+        claim_from_json({"entries": [{**entry, "multiplicity": 2.5}]})
+    with pytest.raises(ValueError, match="must be integers"):
+        claim_from_json({"entries": [{**entry, "d": 2.9}]})
+    with pytest.raises(ValueError, match="must be integers"):
+        claim_from_json({"entries": [{"a": "1", "multiplicity": "2"}]})
