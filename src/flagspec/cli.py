@@ -1,8 +1,8 @@
 """Command line front-end.
 
-Every operation of the library is reachable as a subcommand.  Results go
-to standard output as JSON (indented with --pretty); decisions double as
-exit codes so shell scripts need no JSON parsing:
+Every library operation is a subcommand printing JSON on stdout (indented
+by --pretty; --format graph6 prints a graph6 line, report --pretty a text
+table).  Decisions double as exit codes so shell scripts need no JSON parsing:
 
     0  success / positive decision
     1  negative decision (not isomorphic, not cospectral, claim refuted)
@@ -260,7 +260,7 @@ def _cmd_report(args):
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--pretty", action="store_true", help="indent JSON output")
+    common.add_argument("--pretty", action="store_true", help="indent JSON output (report: a text table)")
 
     parser = _Parser(prog="flagspec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

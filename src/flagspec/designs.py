@@ -1,16 +1,18 @@
 """Balanced incomplete block designs.
 
-Parameter arithmetic, full validation by exhaustive pair counting, flag
-enumeration, incidence graphs, the difference-set construction, and the
-design interchange JSON format.
+Parameter arithmetic, full validation from the concurrence matrix N N^T,
+flag enumeration, incidence graphs, the difference-set construction, and
+the design interchange JSON format.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     NonIntegralParams,
@@ -20,7 +22,7 @@ from .errors import (
     TrivialDesign,
     UnequalBlockSizes,
 )
-from .graphs import Graph
+from .graphs import Graph, _gram
 
 
 @dataclass(frozen=True)
@@ -34,6 +36,8 @@ class DesignParams:
     lam: int
 
     def __post_init__(self):
+        for name in ("v", "b", "r", "k", "lam"):  # TypeError on non-integers
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if min(self.v, self.b, self.r, self.k, self.lam) < 1:
             raise ValueError("all parameters must be positive")
         if not 1 < self.k < self.v:
@@ -86,11 +90,12 @@ class Design:
     __slots__ = ("v", "blocks", "allow_repeated_blocks")
 
     def __init__(self, v: int, blocks, allow_repeated_blocks: bool = False):
+        v = operator.index(v)  # TypeError on non-integers, as for points
         if v < 1:
             raise ValueError("v must be positive")
         norm = []
         for idx, blk in enumerate(blocks):
-            pts = sorted(blk)
+            pts = sorted(map(operator.index, blk))
             if len(set(pts)) != len(pts):
                 raise ValueError(f"block {idx} repeats a point")
             if pts and not (0 <= pts[0] and pts[-1] < v):
@@ -150,19 +155,22 @@ def validate_design(d: Design) -> DesignParams:
             if blk in seen:
                 raise RepeatedBlock(idx)
             seen.add(blk)
-    counts: dict[tuple[int, int], int] = {}
-    for blk in d.blocks:
-        for pair in combinations(blk, 2):
-            counts[pair] = counts.get(pair, 0) + 1
-    lam = counts.get((0, 1), 0)
-    for pair in combinations(range(d.v), 2):
-        found = counts.get(pair, 0)
-        if found != lam:
-            raise PairCountMismatch(pair, found, lam)
-    reps = [0] * d.v
-    for blk in d.blocks:
-        for p in blk:
-            reps[p] += 1
+    # A point in no block meets every point in 0 blocks, so the first bad pair
+    # lies among the covered points, 0, 1 and the first uncovered one: N gets
+    # those rows only (all v points when all are covered), whatever v is.
+    covered = set().union(*d.blocks)
+    gap = next(p for p in range(d.v + 1) if p not in covered)
+    pts = sorted(covered | {0, 1, gap} - {d.v})
+    row = {p: i for i, p in enumerate(pts)}
+    inc = np.zeros((len(pts), d.b), dtype=np.uint8)
+    inc[[row[p] for blk in d.blocks for p in blk], np.repeat(np.arange(d.b), k)] = 1
+    conc = _gram(inc)
+    lam = int(conc[0, 1])
+    bad = np.argwhere(np.triu(conc != lam, 1))
+    if bad.size:
+        i, j = bad[0]
+        raise PairCountMismatch((pts[i], pts[j]), int(conc[i, j]), lam)
+    reps = np.diagonal(conc).tolist()
     r = reps[0]
     # pair balance plus uniform k forces uniform replication
     if any(c != r for c in reps):

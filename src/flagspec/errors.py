@@ -51,10 +51,6 @@ class UnknownGraphName(FlagspecError):
     """No reference graph with the requested name."""
 
 
-class SameVertex(FlagspecError):
-    """Two distinct vertices were required."""
-
-
 class NonIntegralClaim(FlagspecError):
     """A spectrum claim does not expand to an integer-coefficient polynomial."""
 

@@ -14,18 +14,16 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import SameVertex
-
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as a sorted tuple of (i, j) pairs with i < j; a
-    per-vertex sorted neighbor index is built at construction so adjacency
-    and common-neighbor queries are cheap.
+    Edges are stored as a sorted tuple of (i, j) pairs with i < j, plus one
+    sorted neighbor tuple per vertex for traversals; pair counts and spectra
+    read the dense adjacency() matrix instead.
     """
 
-    __slots__ = ("n", "edges", "_neighbors", "_nbr_sets")
+    __slots__ = ("n", "edges", "_neighbors")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -45,16 +43,12 @@ class Graph:
             nbrs[i].append(j)
             nbrs[j].append(i)
         self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
-        self._nbr_sets = tuple(frozenset(a) for a in nbrs)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
 
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        return self._nbr_sets[v]
-
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._nbr_sets[u]
+        return v in self._neighbors[u]
 
     def degree(self, v: int) -> int:
         return len(self._neighbors[v])
@@ -78,13 +72,12 @@ class Graph:
         ]
         return Graph(len(vs), edges)
 
-    def adjacency_rows(self) -> list[list[int]]:
-        """Dense 0/1 adjacency matrix as plain Python int rows."""
-        rows = [[0] * self.n for _ in range(self.n)]
-        for i, j in self.edges:
-            rows[i][j] = 1
-            rows[j][i] = 1
-        return rows
+    def adjacency(self) -> np.ndarray:
+        """Dense 0/1 adjacency matrix, uint8, n x n."""
+        a = np.zeros((self.n, self.n), dtype=np.uint8)
+        i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        a[i, j] = a[j, i] = 1
+        return a
 
     def __eq__(self, other) -> bool:
         return (
@@ -145,11 +138,18 @@ def connected_components(g: Graph) -> list[list[int]]:
     return parts
 
 
-def common_neighbors(g: Graph, u: int, v: int) -> int:
-    """|N(u) ∩ N(v)| for distinct vertices u, v."""
-    if u == v:
-        raise SameVertex(f"vertices must differ, got {u} twice")
-    return len(g.neighbor_set(u) & g.neighbor_set(v))
+def _gram(m: np.ndarray) -> np.ndarray:
+    """m @ m.T of a 0/1 matrix, exactly, as int32: entry (i, j) counts the
+    columns where rows i and j both hold 1.
+
+    The float32 BLAS product is exact: every partial sum is an integer of
+    at most m.shape[1], and float32 holds every integer below 2**24, so
+    that many columns are refused.
+    """
+    if m.shape[1] >= 1 << 24:
+        raise ValueError(f"exact 0/1 product needs < 2**24 columns, got {m.shape[1]}")
+    f = m.astype(np.float32)
+    return (f @ f.T).astype(np.int32)
 
 
 def girth(g: Graph) -> float:

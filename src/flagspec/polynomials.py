@@ -2,7 +2,7 @@
 
 Coefficients are stored in ascending degree order.  Arithmetic, division,
 gcd, square-free parts and Sturm chains are integer-only (division is
-pseudo-division); only count_roots_in evaluates at rational endpoints.
+pseudo-division); only Sturm sign counts evaluate at rational endpoints.
 No floating point.  The spectra module uses the Sturm chains to certify
 numeric eigenvalue clusters against exact characteristic polynomials.
 """
@@ -217,8 +217,9 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     return [q for q in chain if not q.is_zero]
 
 
-def _sign_variations(values) -> int:
-    signs = [(-1 if x < 0 else 1) for x in values if x != 0]
+def _sign_variations(chain: list[IntPolynomial], x: Fraction) -> int:
+    """Sign changes along a Sturm chain evaluated at x, zeros skipped."""
+    signs = [(-1 if y < 0 else 1) for y in (q.evaluate(x) for q in chain) if y != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
@@ -227,6 +228,4 @@ def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
     if lo >= hi:
         return 0
     chain = sturm_chain(p)
-    at_lo = _sign_variations(q.evaluate(lo) for q in chain)
-    at_hi = _sign_variations(q.evaluate(hi) for q in chain)
-    return at_lo - at_hi
+    return _sign_variations(chain, lo) - _sign_variations(chain, hi)

@@ -1,23 +1,24 @@
-"""Regularity classification by exhaustive pair audit.
+"""Regularity classification read off the common-neighbor matrix A^2.
 
-classify walks every unordered vertex pair and collects the common-neighbor
-counts of adjacent pairs (eta_set) and of non-adjacent pairs (mu_set).  The
-predicted profiles encode what the flag-graph constructions must satisfy:
-gamma1 of a (v,b,r,k,lambda) design is a (vr, k+r-2, {r-2,k-2}; {0,1} or
-{0,1,2})-AQSRG with every mu value attained, and gamma2 of a biplane is a
-(vk, k-1, {0}; subset of {0,1,2})-QSRG where the guarantee is weaker: 0 is
-always attained plus at least one of 1, 2, but which of the subsets occurs
-depends on the individual biplane.
+classify takes degrees off its diagonal, the counts of adjacent pairs
+(eta_set) off its entries on edges and those of non-adjacent pairs (mu_set)
+off the rest.  The predicted profiles encode what the flag-graph
+constructions must satisfy: gamma1 of a (v,b,r,k,lambda) design is a (vr,
+k+r-2, {r-2,k-2}; {0,1} or {0,1,2})-AQSRG with every mu value attained, and
+gamma2 of a biplane is a (vk, k-1, {0}; subset of {0,1,2})-QSRG where the
+guarantee is weaker: 0 is always attained plus at least one of 1, 2, but
+which of the subsets occurs depends on the individual biplane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+
+import numpy as np
 
 from .designs import DesignParams
 from .errors import NotABiplane
-from .graphs import Graph
+from .graphs import Graph, _gram
 
 SRG = "SRG"
 QSRG = "QSRG"
@@ -60,18 +61,15 @@ class PredictionReport:
 
 
 def classify(g: Graph) -> RegularityProfile:
-    """Exhaustive audit of all vertex pairs; no sampling."""
+    """Profile of g read off A^2 over all vertex pairs; no sampling."""
     if g.n < 2:
         raise ValueError("classification needs at least 2 vertices")
-    degrees = frozenset(g.degree(v) for v in range(g.n))
-    eta = set()
-    mu = set()
-    for u, v in combinations(range(g.n), 2):
-        count = len(g.neighbor_set(u) & g.neighbor_set(v))
-        if g.has_edge(u, v):
-            eta.add(count)
-        else:
-            mu.add(count)
+    adj = g.adjacency()
+    common = _gram(adj)
+    degrees = frozenset(np.unique(np.diagonal(common)).tolist())
+    eta = frozenset(np.unique(common[adj == 1]).tolist())
+    np.fill_diagonal(adj, 1)  # mu runs over distinct non-adjacent pairs
+    mu = frozenset(np.unique(common[adj == 0]).tolist())
     if not g.edges:
         label = EDGELESS
     elif 2 * g.edge_count == g.n * (g.n - 1):
@@ -84,7 +82,7 @@ def classify(g: Graph) -> RegularityProfile:
         label = QSRG
     else:
         label = AQSRG
-    return RegularityProfile(g.n, degrees, frozenset(eta), frozenset(mu), label)
+    return RegularityProfile(g.n, degrees, eta, mu, label)
 
 
 def predicted_gamma1_profile(p: DesignParams) -> PredictedProfile:

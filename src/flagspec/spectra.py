@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,7 @@ import numpy as np
 from .designs import DesignParams
 from .errors import NonIntegralClaim, SelfCheckFailed
 from .graphs import Graph
-from .polynomials import IntPolynomial, count_roots_in, square_free_part
+from .polynomials import IntPolynomial, _sign_variations, square_free_part, sturm_chain
 
 
 def _square_free_factor(m: int) -> tuple[int, int]:
@@ -58,7 +59,7 @@ class AlgebraicEigenvalue:
     d: int = 0
 
     def __post_init__(self):
-        a, b, d = Fraction(self.a), Fraction(self.b), int(self.d)
+        a, b, d = Fraction(self.a), Fraction(self.b), operator.index(self.d)
         if d < 0:
             raise ValueError("d must be non-negative")
         if b != 0 and d >= 2:
@@ -110,7 +111,7 @@ class SpectrumClaim:
     def __init__(self, entries):
         merged: dict[AlgebraicEigenvalue, int] = {}
         for ev, m in entries:
-            m = int(m)
+            m = operator.index(m)
             if m < 0:
                 raise ValueError("multiplicity must be non-negative")
             if m == 0:
@@ -295,9 +296,9 @@ def char_poly(g: Graph) -> IntPolynomial:
     n = g.n
     if n == 0:
         return IntPolynomial([1])
-    mat = np.array(g.adjacency_rows(), dtype=np.int64)
+    adj = g.adjacency()
     primes = _modular_primes(2 * _coeff_bound(n, g.edge_count))
-    rows = [_charpoly_mod(_hessenberg_mod(mat, p), p) for p in primes]
+    rows = [_charpoly_mod(_hessenberg_mod(adj, p), p) for p in primes]
     coeffs = [
         _crt_symmetric([row[i] for row in rows], primes) for i in range(n + 1)
     ]
@@ -377,7 +378,7 @@ def numeric_spectrum(g: Graph, tolerance: float) -> list[tuple[float, int]]:
         raise ValueError("tolerance must be positive")
     if g.n == 0:
         return []
-    values = np.linalg.eigvalsh(np.array(g.adjacency_rows(), dtype=float))
+    values = np.linalg.eigvalsh(g.adjacency())
     clusters: list[list[float]] = [[float(values[0])]]
     for x in values[1:]:
         x = float(x)
@@ -385,12 +386,13 @@ def numeric_spectrum(g: Graph, tolerance: float) -> list[tuple[float, int]]:
             clusters[-1].append(x)
         else:
             clusters.append([x])
-    reduced = square_free_part(char_poly(g))
+    chain = sturm_chain(square_free_part(char_poly(g)))
     out = []
     for cl in reversed(clusters):
         center = sum(cl) / len(cl)
         lo, hi = Fraction(center - tolerance), Fraction(center + tolerance)
-        if reduced.evaluate(lo) != 0 and count_roots_in(reduced, lo, hi) == 0:
+        at_lo = _sign_variations(chain, lo)
+        if chain[0].evaluate(lo) != 0 and at_lo == _sign_variations(chain, hi):
             raise SelfCheckFailed(f"cluster at {center} matches no exact eigenvalue")
         out.append((center, len(cl)))
     return out

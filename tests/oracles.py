@@ -3,13 +3,14 @@
 These deliberately share no code with the package: the characteristic
 polynomial comes from the Berkowitz recurrence on plain integers, canonical
 certificates from minimizing over all vertex permutations, and concurrence
-counts from literal pair enumeration.  Slow is fine here; agreeing with the
+and common-neighbor counts from literal pair enumeration.  Slow is fine here; agreeing with the
 fast paths is the point.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from flagspec.errors import PairCountMismatch, SelfCheckFailed
 from flagspec.graphs import Graph
 
 
@@ -101,3 +102,54 @@ def pair_concurrences(v: int, blocks) -> dict[tuple[int, int], int]:
         for pair in combinations(sorted(set(block)), 2):
             counts[pair] += 1
     return counts
+
+
+def pair_audit_classify(g: Graph):
+    """(n, degrees, eta_set, mu_set, classification) by intersecting the
+    neighbor sets of every vertex pair, labelled by the same rules as
+    regularity.classify."""
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    degrees = frozenset(len(s) for s in nbrs)
+    eta, mu = set(), set()
+    for u, v in combinations(range(g.n), 2):
+        (eta if v in nbrs[u] else mu).add(len(nbrs[u] & nbrs[v]))
+    m = len(g.edges)
+    if m == 0:
+        label = "Edgeless"
+    elif 2 * m == g.n * (g.n - 1):
+        label = "Complete"
+    elif len(degrees) != 1:
+        label = "NotRegular"
+    elif len(eta) <= 1 and len(mu) <= 1:
+        label = "SRG"
+    elif len(eta) <= 1:
+        label = "QSRG"
+    else:
+        label = "AQSRG"
+    return g.n, degrees, frozenset(eta), frozenset(mu), label
+
+
+def counted_concurrence_params(v: int, blocks):
+    """(v, b, r, k, lambda) of a uniform, non-trivial block system whose
+    pairs are balanced, by counting pairs in a dict; the pair check raises
+    what designs.validate_design raises, for the first pair in
+    lexicographic order whose count differs from that of (0, 1).  Loops
+    over every point pair, so v must stay small."""
+    counts = {}
+    for block in blocks:
+        for pair in combinations(sorted(block), 2):
+            counts[pair] = counts.get(pair, 0) + 1
+    lam = counts.get((0, 1), 0)
+    for pair in combinations(range(v), 2):
+        if counts.get(pair, 0) != lam:
+            raise PairCountMismatch(pair, counts.get(pair, 0), lam)
+    reps = [0] * v
+    for block in blocks:
+        for p in block:
+            reps[p] += 1
+    if len(set(reps)) != 1:
+        raise SelfCheckFailed(f"pair-balanced design with replications {set(reps)}")
+    return v, len(blocks), reps[0], len(blocks[0]), lam

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspec import designs
+from flagspec.catalog import CATALOG_IDS, get_design
 from flagspec.designs import (
     Design,
     DesignParams,
@@ -15,6 +19,7 @@ from flagspec.designs import (
     validate_design,
 )
 from flagspec.errors import (
+    FlagspecError,
     NonIntegralParams,
     PairCountMismatch,
     RepeatedBlock,
@@ -23,7 +28,7 @@ from flagspec.errors import (
     UnequalBlockSizes,
 )
 
-from oracles import pair_concurrences
+from oracles import counted_concurrence_params, pair_concurrences
 
 FANO_BLOCKS = [
     [0, 1, 3], [1, 2, 4], [2, 3, 5], [3, 4, 6], [0, 4, 5], [1, 5, 6], [0, 2, 6],
@@ -147,10 +152,116 @@ def test_flag_enumeration_order():
 
 def test_replication_check_raises(monkeypatch):
     # pair balance forces uniform replication, so the check can only fire
-    # when pair counting is bypassed: here it sees no pairs at all
-    monkeypatch.setattr(designs, "combinations", lambda items, r: iter(()))
-    with pytest.raises(SelfCheckFailed, match="replication"):
+    # when the concurrence matrix is tampered with: here every off-diagonal
+    # entry reads 1 while the diagonal keeps the replications 3, 1, 1, 1
+    real = designs._gram
+
+    def balanced(m):
+        conc = real(m)
+        conc[~np.eye(len(conc), dtype=bool)] = 1
+        return conc
+
+    monkeypatch.setattr(designs, "_gram", balanced)
+    with pytest.raises(SelfCheckFailed, match="replications {1, 3}"):
         validate_design(Design(4, [[0, 1], [0, 2], [0, 3]]))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except FlagspecError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def block_systems(draw):
+    """(v, blocks, allow_repeats) with uniform block size 1 < k < v, so
+    validation reaches the pair counts: random k-subsets, or a catalog
+    design with a moved point, a repeated block or points in no block."""
+    if draw(st.booleans()):
+        v = draw(st.integers(3, 9))
+        k = draw(st.integers(2, v - 1))
+        allow = draw(st.booleans())
+        subsets = st.sets(st.integers(0, v - 1), min_size=k, max_size=k)
+        blocks = draw(st.lists(subsets, min_size=1, max_size=14,
+                               unique_by=None if allow else frozenset))
+        return v, [sorted(b) for b in blocks], allow
+    d = get_design(draw(st.sampled_from(CATALOG_IDS)))
+    blocks = [list(b) for b in d.blocks]
+    v = d.v + draw(st.integers(0, 3))  # extra points lie in no block
+    if draw(st.booleans()):
+        j = draw(st.integers(0, d.b - 1))
+        old = draw(st.sampled_from(blocks[j]))
+        new = draw(st.sampled_from([p for p in range(v) if p not in blocks[j]]))
+        blocks[j] = sorted({*blocks[j], new} - {old})
+    allow = draw(st.booleans())
+    if allow and draw(st.booleans()):
+        blocks.append(list(draw(st.sampled_from(blocks))))
+    if not allow and len({tuple(b) for b in blocks}) < len(blocks):
+        allow = True
+    return v, blocks, allow
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(block_systems())
+def test_validate_design_matches_pair_counting(system):
+    v, blocks, allow = system
+    ours = _outcome(lambda: validate_design(Design(v, blocks, allow)).as_tuple())
+    assert ours == _outcome(lambda: counted_concurrence_params(v, blocks))
+
+
+def test_validation_size_does_not_grow_with_v():
+    # the first bad pair lies among the covered points and the first
+    # uncovered one, so a huge v costs nothing
+    cases = [
+        (10**30, [[0, 1, 2], [0, 1, 2]], ((0, 3), 0, 2)),
+        (10**6, [[5, 999_999], [7, 999_999]], ((5, 999_999), 1, 0)),
+        (10**6, [[2, 3, 4], [2, 3, 5]], ((2, 3), 2, 0)),
+    ]
+    for v, blocks, (pair, found, expected) in cases:
+        with pytest.raises(PairCountMismatch) as info:
+            validate_design(Design(v, blocks, allow_repeated_blocks=True))
+        assert (info.value.pair, info.value.found, info.value.expected) == (
+            pair, found, expected,
+        )
+
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=3))
+_json = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+_point = st.integers(-1, 12) | st.integers() | _json
+_design_objects = st.fixed_dictionaries(
+    {
+        "v": st.integers(-1, 14) | st.integers() | _json,
+        "blocks": st.lists(st.lists(_point, max_size=6), max_size=10) | _json,
+    },
+    optional={"allow_repeated_blocks": _json},
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.one_of(_json, _design_objects, _design_objects.map(json.dumps)))
+def test_design_json_fuzz_fails_cleanly(obj):
+    try:
+        validate_design(design_from_json(obj))
+    except (ValueError, TypeError, FlagspecError):
+        pass
+
+
+def test_python_api_rejects_non_integers():
+    with pytest.raises(TypeError):
+        Design(7.0, FANO_BLOCKS)
+    with pytest.raises(TypeError):
+        Design(7, [[0, 1, 3.0]])
+    with pytest.raises(TypeError):
+        DesignParams(7, 7, 3, 3, 1.0)
+    p = DesignParams(*(np.int64(x) for x in (7, 7, 3, 3, 1)))
+    assert all(type(x) is int for x in p.as_tuple())
 
 
 def test_incidence_graph_shape(catalog_designs):

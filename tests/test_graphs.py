@@ -2,14 +2,14 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagspec.errors import SameVertex
 from flagspec.graphs import (
     Graph,
-    common_neighbors,
+    _gram,
     complete_graph,
     connected_components,
     cycle_graph,
@@ -53,6 +53,21 @@ def test_neighbors_and_degrees():
     assert degree_profile(complete_graph(4)) == {3}
 
 
+def test_adjacency_matrix_and_exact_gram():
+    g = cycle_graph(4)
+    a = g.adjacency()
+    assert a.dtype == np.uint8
+    assert a.tolist() == [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]
+    assert Graph(0, []).adjacency().shape == (0, 0)
+    assert not Graph(3, []).adjacency().any()
+    assert _gram(a).tolist() == (a.astype(np.int64) @ a.T).tolist()
+    # float32 counts exactly up to 2**24 - 1 columns; 2**24 is refused
+    wide = np.ones((1, (1 << 24) - 1), dtype=np.uint8)
+    assert _gram(wide).tolist() == [[(1 << 24) - 1]]
+    with pytest.raises(ValueError, match="2\\*\\*24"):
+        _gram(np.ones((1, 1 << 24), dtype=np.uint8))
+
+
 def test_relabel_and_subgraph():
     g = Graph(4, [(0, 1), (1, 2), (2, 3)])
     h = g.relabel([3, 2, 1, 0])
@@ -86,14 +101,6 @@ def test_girth_values():
     assert girth(cycle_graph(9)) == 9
     assert girth(Graph(4, [(0, 1), (1, 2), (2, 3)])) == math.inf
     assert girth(Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])) == 3
-
-
-def test_common_neighbors():
-    g = cycle_graph(4)
-    assert common_neighbors(g, 0, 2) == 2
-    assert common_neighbors(g, 0, 1) == 0
-    with pytest.raises(SameVertex):
-        common_neighbors(g, 1, 1)
 
 
 def test_json_round_trip():

@@ -1,6 +1,9 @@
+import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspec.designs import DesignParams
 from flagspec.errors import NotABiplane
@@ -13,6 +16,8 @@ from flagspec.regularity import (
     predicted_gamma2_profile,
     profile_to_json,
 )
+
+from oracles import pair_audit_classify
 
 
 def petersen() -> Graph:
@@ -126,3 +131,32 @@ def test_gamma1_prediction_requires_exact_mu(gamma1_graphs):
         variant="gamma1",
     )
     assert not check_against_prediction(actual, widened).mu_ok
+
+
+def _fields(p):
+    return p.n, p.degrees, p.eta_set, p.mu_set, p.classification
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["edgeless", "complete", "random", "random"]))
+    if kind == "edgeless":
+        return Graph(n, [])
+    if kind == "complete":
+        return complete_graph(n)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0, 1))
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < density])
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(small_graphs())
+def test_classify_matches_pair_audit(g):
+    assert _fields(classify(g)) == pair_audit_classify(g)
+
+
+def test_classify_matches_pair_audit_on_flag_graphs(gamma1_graphs, gamma2_graphs):
+    for g in [*(fg.graph for fg in gamma1_graphs.values()),
+              *(fg.graph for fg in gamma2_graphs.values())]:
+        assert _fields(classify(g)) == pair_audit_classify(g)

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flagspec import spectra
+from flagspec import polynomials, spectra
 from flagspec.designs import DesignParams
 from flagspec.errors import NonIntegralClaim, SelfCheckFailed
 from flagspec.graphs import Graph, complete_graph, cycle_graph
@@ -68,6 +68,17 @@ def test_eigenvalue_helpers():
     assert ev(5).is_rational
     assert ev(Fraction(9, 2), Fraction(1, 2), 73).render() == "9/2+1/2√73"
     assert ev(0, -1, 6).render() == "-√6"
+
+
+def test_python_api_rejects_non_integers():
+    with pytest.raises(TypeError):
+        SpectrumClaim([(ev(1), 2.5)])
+    with pytest.raises(TypeError):
+        SpectrumClaim([(ev(1), Fraction(2))])
+    with pytest.raises(TypeError):
+        AlgebraicEigenvalue(Fraction(0), Fraction(1), 2.9)
+    assert AlgebraicEigenvalue(Fraction(0), Fraction(1), np.int64(8)) == ev(0, 2, 2)
+    assert SpectrumClaim([(ev(1), np.int64(2))]).entries == ((ev(1), 2),)
 
 
 def test_claim_merging_and_order():
@@ -203,6 +214,21 @@ def test_numeric_spectrum_separates_close_values(gamma1_graphs):
     ]
     assert [m for _, m in out] == [m for _, m in expected]
     assert all(abs(a - b) < 1e-9 for (a, _), (b, _) in zip(out, expected))
+
+
+def test_numeric_spectrum_builds_one_sturm_chain(monkeypatch):
+    calls = []
+    real = polynomials.sturm_chain
+
+    def counting(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(polynomials, "sturm_chain", counting)
+    monkeypatch.setattr(spectra, "sturm_chain", counting, raising=False)
+    clusters = numeric_spectrum(random_graph(16, 0.5, 3), 1e-9)
+    assert len(clusters) > 10
+    assert len(calls) == 1
 
 
 def test_numeric_spectrum_rejects_bad_tolerance():
