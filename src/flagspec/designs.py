@@ -22,7 +22,7 @@ from .errors import (
     TrivialDesign,
     UnequalBlockSizes,
 )
-from .graphs import Graph, _gram
+from .graphs import Graph, _check_dense, _gram
 
 
 @dataclass(frozen=True)
@@ -162,6 +162,7 @@ def validate_design(d: Design) -> DesignParams:
     gap = next(p for p in range(d.v + 1) if p not in covered)
     pts = sorted(covered | {0, 1, gap} - {d.v})
     row = {p: i for i, p in enumerate(pts)}
+    _check_dense(len(pts))
     inc = np.zeros((len(pts), d.b), dtype=np.uint8)
     inc[[row[p] for blk in d.blocks for p in blk], np.repeat(np.arange(d.b), k)] = 1
     conc = _gram(inc)

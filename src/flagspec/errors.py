@@ -55,6 +55,17 @@ class NonIntegralClaim(FlagspecError):
     """A spectrum claim does not expand to an integer-coefficient polynomial."""
 
 
+class TooManyVertices(FlagspecError):
+    """A dense n x n kernel was asked for more vertices than it accepts."""
+
+    def __init__(self, n: int, limit: int):
+        self.n = n
+        self.limit = limit
+        super().__init__(
+            f"{n} vertices exceed the dense-kernel limit of {limit}"
+        )
+
+
 class SelfCheckFailed(FlagspecError):
     """A computed result failed one of the library's own consistency checks.
 

@@ -14,6 +14,18 @@ from itertools import combinations
 
 import numpy as np
 
+from .errors import TooManyVertices
+
+# Vertex limit of the dense kernels (adjacency, _gram and char_poly, which
+# reads adjacency), checked before any n x n allocation.  At the limit
+# char_poly's int64 Hessenberg copy takes 512 MiB.
+DENSE_VERTEX_LIMIT = 8192
+
+
+def _check_dense(n: int):
+    if n > DENSE_VERTEX_LIMIT:
+        raise TooManyVertices(n, DENSE_VERTEX_LIMIT)
+
 
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
@@ -73,7 +85,9 @@ class Graph:
         return Graph(len(vs), edges)
 
     def adjacency(self) -> np.ndarray:
-        """Dense 0/1 adjacency matrix, uint8, n x n."""
+        """Dense 0/1 adjacency matrix, uint8, n x n; raises TooManyVertices
+        above DENSE_VERTEX_LIMIT."""
+        _check_dense(self.n)
         a = np.zeros((self.n, self.n), dtype=np.uint8)
         i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
         a[i, j] = a[j, i] = 1
@@ -144,8 +158,10 @@ def _gram(m: np.ndarray) -> np.ndarray:
 
     The float32 BLAS product is exact: every partial sum is an integer of
     at most m.shape[1], and float32 holds every integer below 2**24, so
-    that many columns are refused.
+    that many columns are refused, and so are more than DENSE_VERTEX_LIMIT
+    rows.
     """
+    _check_dense(m.shape[0])
     if m.shape[1] >= 1 << 24:
         raise ValueError(f"exact 0/1 product needs < 2**24 columns, got {m.shape[1]}")
     f = m.astype(np.float32)

@@ -1,14 +1,34 @@
 """Canonical labeling and isomorphism decisions.
 
 canonical_form runs iterated equitable refinement with individualization
-and backtracking.  The certificate is the smallest graph6 encoding over
-the leaves of the search tree, written by the same encoder as
-graph_to_graph6, so it equals graph_to_graph6(g.relabel(permutation));
-automorphisms discovered along the way (two leaves with equal
-certificates) prune sibling branches orbit-wise.  Byte-equal certificates
-hold exactly for isomorphic graphs.  Disconnected graphs are canonicalized
-component by component and reassembled in sorted certificate order, which
-keeps highly symmetric unions cheap.
+and backtracking, depth first from an explicit stack.  The certificate is
+the smallest graph6 encoding over the leaves of the search tree, written
+by the same encoder as graph_to_graph6, so it equals
+graph_to_graph6(g.relabel(permutation)); the permutation is the first
+leaf, in depth-first order, that reaches it.  Byte-equal certificates hold
+exactly for isomorphic graphs.
+
+Two leaves with equal certificates expose an automorphism, which maps the
+path of one onto the path of the other and so fixes their common prefix.
+Automorphisms prune in two ways (McKay 1981, "Practical graph
+isomorphism"):
+
+* orbit pruning: at each node, a candidate that an automorphism fixing
+  the node's path maps onto an earlier candidate is not branched on;
+* jump-back: when a leaf's certificate equals an earlier leaf's, every
+  leaf below the child taken at the end of their common prefix is the
+  image of a leaf below the earlier leaf's child, a subtree already
+  searched, so the search returns straight to that node.  McKay compares
+  each leaf with the first and the best leaf; the search keeps the first
+  leaf of every distinct certificate instead, which finds more
+  automorphisms at the cost of one stored certificate per distinct leaf.
+
+Both skip only leaves that come later in depth-first order than a leaf
+with the same certificate, so neither changes the certificate or the
+permutation.  Refinement recounts, in each round, only the neighbors in
+the cells that split in the round before.  Disconnected graphs are
+canonicalized component by component and reassembled in sorted
+certificate order, which keeps highly symmetric unions cheap.
 
 Design isomorphism reuses the machinery on the incidence graph with the
 point/block sides as an ordered two-color partition, so points can never
@@ -31,92 +51,161 @@ class CanonicalForm:
     permutation: tuple[int, ...]  # input vertex -> canonical position
 
 
+class _Node:
+    """A refined partition of the search tree and its branching state.
+
+    The candidates are the first largest cell.  A candidate is skipped when
+    an automorphism that fixes every vertex on the path to this node maps
+    it onto a candidate already branched on; orbits are kept as the least
+    vertex of each orbit, merged by min-label propagation.
+    """
+
+    def __init__(self, cols: np.ndarray, width: int, path: list[int]):
+        self.cols, self.width = cols, width
+        self.fixed = np.array(path, dtype=np.int64)
+        target = int(np.argmax(np.bincount(cols)))
+        self.members = np.nonzero(cols == target)[0].tolist()
+        self.next = 0
+        self.branched: list[int] = []
+        self.gens: list[np.ndarray] = []
+        self.seen = 0
+        self.orbit = np.arange(len(cols))
+
+    def pick(self, gens: list[np.ndarray]) -> int | None:
+        """Next candidate to branch on, or None when the node is done."""
+        while self.next < len(self.members):
+            w = self.members[self.next]
+            self.next += 1
+            if self.branched:
+                if len(gens) > self.seen:
+                    self._merge(gens)
+                if self.gens and self.orbit[w] in self.orbit[self.branched]:
+                    continue
+            self.branched.append(w)
+            return w
+        return None
+
+    def _merge(self, gens: list[np.ndarray]):
+        new = [
+            p for p in gens[self.seen:]
+            if np.array_equal(p[self.fixed], self.fixed)
+        ]
+        self.seen = len(gens)
+        if not new:
+            return
+        self.gens += new
+        # every label stays a vertex of its own orbit and never exceeds
+        # its vertex, so the fixed point is the least vertex of each orbit
+        # of the group these generators span
+        lab = self.orbit
+        while True:
+            nxt = lab
+            for p in self.gens:
+                nxt = np.minimum(nxt, nxt[p])
+            nxt = nxt[nxt]
+            if np.array_equal(nxt, lab):
+                break
+            lab = nxt
+        self.orbit = lab
+
+
 def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
-    """Backtracking over individualizations; returns (certificate, perm)."""
+    """Depth-first search over individualizations; returns (certificate,
+    perm).  An explicit stack of nodes drives it, so the depth is not
+    bounded by the interpreter's recursion limit."""
     n = g.n
     earr = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     src = np.concatenate([earr[:, 0], earr[:, 1]])
     dst = np.concatenate([earr[:, 1], earr[:, 0]])
+    ids = np.arange(n)
 
-    def refine(colors: np.ndarray) -> np.ndarray:
-        # split cells by neighbor color histograms until stable; fresh ids
-        # follow the lexicographic row order, so they only depend on the
-        # partition, never on vertex labels.  Rows are compared as
-        # big-endian byte strings, which agrees with numeric lexicographic
-        # order because every entry is nonnegative.
-        while True:
-            width = int(colors.max()) + 1
+    def refine(
+        colors: np.ndarray, width: int, slot: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        # colors are 0..width-1.  Split cells by neighbor color histograms
+        # until stable; fresh ids follow the lexicographic order of the rows
+        # (color, histogram), so they only depend on the partition, never
+        # on vertex labels.  A histogram column that is constant on every
+        # cell cannot order two rows of one cell, so it is left out: that
+        # holds for every column but those of the fresh cells, the pieces
+        # of a cell that split in the round before (or by
+        # individualization).  slot[c] numbers the fresh cells from 0 and
+        # is -1 on the others.
+        while width < n:
+            k = int(slot.max()) + 1
+            ends = slot[colors[dst]]
+            hit = ends >= 0
             counts = np.bincount(
-                src * width + colors[dst], minlength=n * width
-            ).reshape(n, width)
-            rows = np.column_stack([colors, counts]).astype(">u4")
-            keys = rows.view(np.dtype((np.void, 4 * rows.shape[1]))).ravel()
-            _, new = np.unique(keys, return_inverse=True)
-            new = new.astype(np.int64)
-            if np.array_equal(new, colors):
-                return colors
-            colors = new
+                ends[hit] * n + src[hit], minlength=k * n
+            ).reshape(k, n)
+            rep = np.empty(width, dtype=np.int64)
+            rep[colors] = ids
+            if not (counts != counts[:, rep[colors]]).any():
+                break
+            keys = np.concatenate([counts[::-1], colors[None]])
+            order = np.lexsort(keys)
+            ranked = keys[:, order]
+            steps = np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1])
+            new = np.empty(n, dtype=np.int64)
+            new[order[0]] = 0
+            new[order[1:]] = np.add.accumulate(steps, dtype=np.int64)
+            parent = np.empty(int(new[order[-1]]) + 1, dtype=np.int64)
+            parent[new] = colors
+            split = np.bincount(parent, minlength=width)[parent] > 1
+            slot = np.where(split, np.add.accumulate(split, dtype=np.int64) - 1, -1)
+            colors, width = new, len(parent)
+        return colors, width
 
-    def individualize(colors: np.ndarray, v: int) -> np.ndarray:
-        out = colors * 2
-        out[colors == colors[v]] += 1
-        out[v] -= 1
-        return out
+    def certificate(cols: np.ndarray) -> bytes:
+        return _graph6(n, cols[earr[:, 0]], cols[earr[:, 1]])
 
-    best_cert: bytes | None = None
-    best_perm: np.ndarray | None = None
+    width = max(base) + 1
+    cols, width = refine(np.array(base, dtype=np.int64), width, np.arange(width))
+    if width == n:
+        return certificate(cols), tuple(cols.tolist())
+    # the first leaf of each certificate, as (perm, path)
+    leaves: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     gens: list[np.ndarray] = []
-
-    def visit_leaf(cols: np.ndarray):
-        nonlocal best_cert, best_perm
-        cert = _graph6(n, cols[earr[:, 0]], cols[earr[:, 1]])
-        if best_cert is None or cert < best_cert:
-            best_cert, best_perm = cert, cols
-        elif cert == best_cert and not np.array_equal(cols, best_perm):
-            # equal certificates expose an automorphism of g
-            inverse = np.empty(n, dtype=np.int64)
-            inverse[best_perm] = np.arange(n)
-            gens.append(inverse[cols])
-
-    def recurse(cols: np.ndarray, fixed: tuple[int, ...]):
-        cols = refine(cols)
-        if int(cols.max()) + 1 == n:
-            visit_leaf(cols)
-            return
-        sizes = np.bincount(cols)
-        target = int(np.argmax(sizes == sizes.max()))
-        members = np.nonzero(cols == target)[0]
-        # orbit pruning: discovered automorphisms fixing every vertex of
-        # `fixed` join branch candidates into one union-find forest, and
-        # only one candidate per orbit is explored
-        parent = list(range(n))
-        applied = 0
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        branched: list[int] = []
-        for w in map(int, members):
-            if branched:
-                while applied < len(gens):
-                    p = gens[applied]
-                    applied += 1
-                    if all(int(p[x]) == x for x in fixed):
-                        for v in range(n):
-                            rv, rp = find(v), find(int(p[v]))
-                            if rv != rp:
-                                parent[rv] = rp
-                root = find(w)
-                if any(find(x) == root for x in branched):
-                    continue
-            branched.append(w)
-            recurse(individualize(cols, w), fixed + (w,))
-
-    recurse(np.array(base, dtype=np.int64), ())
-    return best_cert, tuple(int(p) for p in best_perm)
+    stack = [_Node(cols, width, [])]
+    path: list[int] = []
+    while stack:
+        node = stack[-1]
+        del path[len(stack) - 1:]
+        w = node.pick(gens)
+        if w is None:
+            stack.pop()
+            continue
+        path.append(w)
+        # individualize w: it keeps its cell's id and comes first; the
+        # rest of its cell and every later cell move up by one
+        c = node.cols[w]
+        cols = node.cols + (node.cols >= c)
+        cols[w] = c
+        slot = np.full(node.width + 1, -1)
+        slot[c:c + 2] = 0, 1
+        cols, width = refine(cols, node.width + 1, slot)
+        if width < n:
+            stack.append(_Node(cols, width, path))
+            continue
+        cert = certificate(cols)
+        if cert not in leaves:
+            leaves[cert] = cols, list(path)
+            continue
+        # an earlier leaf with this certificate exposes an automorphism of
+        # g mapping this leaf's path onto that leaf's (a different path, as
+        # a path determines its leaf), so it fixes their common prefix of
+        # length j: the subtree of the child taken at depth j is the image
+        # of one already searched, and the search resumes at depth j
+        perm, other = leaves[cert]
+        inverse = np.empty(n, dtype=np.int64)
+        inverse[perm] = ids
+        gens.append(inverse[cols])
+        j = 0
+        while path[j] == other[j]:
+            j += 1
+        del stack[j + 1:]
+    best = min(leaves)
+    return best, tuple(leaves[best][0].tolist())
 
 
 def _assemble_components(g: Graph, parts) -> tuple[bytes, tuple[int, ...]]:

@@ -292,7 +292,11 @@ def _crt_symmetric(residues: list[int], primes: list[int]) -> int:
 
 
 def char_poly(g: Graph) -> IntPolynomial:
-    """Exact characteristic polynomial of the adjacency matrix of g."""
+    """Exact characteristic polynomial of the adjacency matrix of g.
+
+    Above graphs.DENSE_VERTEX_LIMIT vertices, adjacency() raises
+    TooManyVertices before anything is allocated.
+    """
     n = g.n
     if n == 0:
         return IntPolynomial([1])

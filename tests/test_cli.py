@@ -282,3 +282,14 @@ def test_non_integer_json_numbers_exit_two(capsys, tmp_path):
                          str(claim_path))
     assert code == 2
     assert obj["error"]["type"] == "format"
+
+
+@pytest.mark.parametrize("command", ["classify", "charpoly"])
+def test_dense_vertex_limit_exits_two(capsys, tmp_path, command):
+    # 27 bytes declaring a million vertices: refused before the n x n
+    # adjacency matrix is allocated
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1000000, "edges": []}')
+    code, obj = run_json(capsys, command, str(path))
+    assert code == 2
+    assert obj["error"]["type"] == "TooManyVertices"

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagspec.errors import TooManyVertices
 from flagspec.graphs import (
+    DENSE_VERTEX_LIMIT,
     Graph,
     _gram,
     complete_graph,
@@ -66,6 +68,25 @@ def test_adjacency_matrix_and_exact_gram():
     assert _gram(wide).tolist() == [[(1 << 24) - 1]]
     with pytest.raises(ValueError, match="2\\*\\*24"):
         _gram(np.ones((1, 1 << 24), dtype=np.uint8))
+
+
+def test_dense_kernels_refuse_more_vertices_than_the_limit():
+    from flagspec.designs import Design, validate_design
+    from flagspec.spectra import char_poly
+
+    big = Graph(DENSE_VERTEX_LIMIT + 1, [])
+    # each check runs before its n x n allocation
+    with pytest.raises(TooManyVertices) as info:
+        big.adjacency()
+    assert (info.value.n, info.value.limit) == (DENSE_VERTEX_LIMIT + 1, DENSE_VERTEX_LIMIT)
+    with pytest.raises(TooManyVertices):
+        char_poly(big)
+    with pytest.raises(TooManyVertices):
+        _gram(np.ones((DENSE_VERTEX_LIMIT + 1, 1), dtype=np.uint8))
+    # concurrences of a design covering more points than the limit
+    v = DENSE_VERTEX_LIMIT + 2
+    with pytest.raises(TooManyVertices):
+        validate_design(Design(v, [[p, (p + 1) % v] for p in range(v)]))
 
 
 def test_relabel_and_subgraph():

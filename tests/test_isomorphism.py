@@ -1,7 +1,12 @@
 import random
+import sys
 import time
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagspec.designs import Design
 from flagspec.graphs import (
@@ -155,3 +160,155 @@ def test_permutation_field_is_inverse_free(gamma2_graphs):
     assert cf.certificate == graph_to_graph6(
         g.relabel(list(cf.permutation))
     ).encode("ascii")
+
+
+def _nx(g, colors=None):
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    if colors is not None:
+        nx.set_node_attributes(out, dict(enumerate(colors)), "color")
+    return out
+
+
+@st.composite
+def small_graphs(draw, n=None):
+    """Graphs on at most 9 vertices, or on exactly n."""
+    if n is None:
+        n = draw(st.integers(1, 9))
+    pairs = list(combinations(range(n), 2))
+    bits = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, bit in zip(pairs, bits) if bit])
+
+
+@st.composite
+def colored_relabelings(draw):
+    """(g, colors, perm): a graph, a 3-coloring and a relabeling."""
+    g = draw(small_graphs())
+    colors = draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n))
+    perm = list(draw(st.permutations(range(g.n))))
+    return g, colors, perm
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(colored_relabelings())
+def test_certificate_invariant_under_relabeling(case):
+    g, colors, perm = case
+    h = g.relabel(perm)
+    moved = [0] * g.n
+    for v, p in enumerate(perm):
+        moved[p] = colors[v]
+    assert canonical_form(g).certificate == canonical_form(h).certificate
+    assert (canonical_form(g, colors).certificate
+            == canonical_form(h, moved).certificate)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(colored_relabelings())
+def test_certificate_is_graph6_of_its_permutation(case):
+    g, colors, _ = case
+    cf = canonical_form(g)
+    assert cf.certificate == graph_to_graph6(g.relabel(list(cf.permutation))).encode()
+    cf = canonical_form(g, colors)
+    body = graph_to_graph6(g.relabel(list(cf.permutation))).encode()
+    assert cf.certificate.endswith(b":" + body)
+    # color classes fill the canonical positions in color order
+    assert sorted(range(g.n), key=lambda v: cf.permutation[v]) == sorted(
+        range(g.n), key=lambda v: (colors[v], cf.permutation[v])
+    )
+
+
+@st.composite
+def decision_pairs(draw):
+    """Two graphs on the same vertices: a relabeling, a degree-preserving
+    edge switch of a relabeling, or an independent draw."""
+    g = draw(small_graphs())
+    perm = list(draw(st.permutations(range(g.n))))
+    h = g.relabel(perm)
+    kind = draw(st.sampled_from(["relabel", "switch", "other"]))
+    if kind == "switch":
+        edges = set(h.edges)
+        switches = [
+            ((a, b), (c, d))
+            for (a, b), (c, d) in combinations(sorted(edges), 2)
+            if len({a, b, c, d}) == 4
+            and (min(a, c), max(a, c)) not in edges
+            and (min(b, d), max(b, d)) not in edges
+        ]
+        if switches:
+            (a, b), (c, d) = draw(st.sampled_from(switches))
+            edges -= {(a, b), (c, d)}
+            edges |= {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
+            h = Graph(g.n, edges)
+    elif kind == "other":
+        h = draw(small_graphs(g.n))
+    colors = draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
+    other_colors = [colors[v] for v in sorted(range(g.n), key=perm.__getitem__)]
+    return g, h, colors, other_colors
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(decision_pairs())
+def test_decisions_match_networkx_and_brute_force(case):
+    g, h, colors, other_colors = case
+    expected = nx.is_isomorphic(_nx(g), _nx(h))
+    assert is_isomorphic(g, h) == expected
+    # the brute-force oracle tries all n! bijections; n <= 7 keeps it fast
+    if g.n <= 7:
+        assert brute_isomorphic(g, h) == expected
+    same_colored = (canonical_form(g, colors).certificate
+                    == canonical_form(h, other_colors).certificate)
+    assert same_colored == nx.is_isomorphic(
+        _nx(g, colors), _nx(h, other_colors),
+        node_match=lambda x, y: x["color"] == y["color"],
+    )
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # refinement never splits a cell of K60 or of the one-colored edgeless
+    # graph, so the search goes about 60 levels deep
+    g, e = complete_graph(60), Graph(60, [])
+    limit = sys.getrecursionlimit()
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    sys.setrecursionlimit(depth + 40)
+    try:
+        cg = canonical_form(g)
+        ce = canonical_form(e, [0] * 60)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cg.certificate == graph_to_graph6(g).encode()
+    assert ce.certificate == b"60:" + graph_to_graph6(e).encode()
+
+
+def _rook_graph(k):
+    cells = [(a, b) for a in range(k) for b in range(k)]
+    return Graph(k * k, [
+        (i, j) for i, j in combinations(range(k * k), 2)
+        if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]
+    ])
+
+
+SYMMETRIC_GRAPHS = {
+    "rook-8x8": _rook_graph(8),
+    "K12,12": Graph(24, [(i, 12 + j) for i in range(12) for j in range(12)]),
+    "cocktail-party-32": Graph(32, [
+        (i, j) for i, j in combinations(range(32), 2) if j != i + 16
+    ]),
+    "K30": complete_graph(30),
+}
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIC_GRAPHS))
+def test_symmetric_graphs_stay_inside_time_budget(name):
+    graph = SYMMETRIC_GRAPHS[name]
+    # large automorphism groups: a search without jump-back takes seconds
+    # to minutes on these
+    h = shuffled(graph, random.Random(1729))
+    start = time.perf_counter()
+    cf = canonical_form(h)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, f"{name} took {elapsed:.2f}s"
+    assert cf.certificate == graph_to_graph6(h.relabel(list(cf.permutation))).encode()
+    assert cf.certificate == canonical_form(graph).certificate
