@@ -22,7 +22,7 @@ from .errors import (
     TrivialDesign,
     UnequalBlockSizes,
 )
-from .graphs import Graph, _check_dense, _gram
+from .graphs import Graph, _check_dense, _gram, _json_int
 
 
 @dataclass(frozen=True)
@@ -234,14 +234,12 @@ def design_from_json(obj) -> Design:
     if not isinstance(obj, dict) or "v" not in obj or "blocks" not in obj:
         raise ValueError("design JSON must be an object with 'v' and 'blocks'")
     v = obj["v"]
-    if not isinstance(v, int):
+    if not _json_int(v):
         raise ValueError("'v' must be an integer")
     blocks = obj["blocks"]
     if not isinstance(blocks, list):
         raise ValueError("'blocks' must be a list")
     for blk in blocks:
-        if not isinstance(blk, list) or not all(
-            isinstance(p, int) for p in blk
-        ):
+        if not isinstance(blk, list) or not all(_json_int(p) for p in blk):
             raise ValueError(f"bad block entry {blk!r}")
     return Design(v, blocks, bool(obj.get("allow_repeated_blocks", False)))

@@ -203,20 +203,26 @@ def graph_to_json(g: Graph) -> dict:
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
+def _json_int(x) -> bool:
+    """Is x a JSON integer?  json.loads maps true and false to bool, which
+    Python counts as an int, so booleans are excluded here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def graph_from_json(obj) -> Graph:
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
         raise ValueError("graph JSON must be an object with 'n' and 'edges'")
     n = obj["n"]
-    if not isinstance(n, int):
+    if not _json_int(n):
         raise ValueError("'n' must be an integer")
     edges = []
     for e in obj["edges"]:
         if not (
             isinstance(e, (list, tuple))
             and len(e) == 2
-            and all(isinstance(x, int) for x in e)
+            and all(_json_int(x) for x in e)
         ):
             raise ValueError(f"bad edge entry {e!r}")
         edges.append((e[0], e[1]))

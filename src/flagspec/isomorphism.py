@@ -1,7 +1,7 @@
 """Canonical labeling and isomorphism decisions.
 
-canonical_form runs iterated equitable refinement with individualization
-and backtracking, depth first from an explicit stack.  The certificate is
+canonical_form runs partition refinement with individualization and
+backtracking, depth first from an explicit stack.  The certificate is
 the smallest graph6 encoding over the leaves of the search tree, written
 by the same encoder as graph_to_graph6, so it equals
 graph_to_graph6(g.relabel(permutation)); the permutation is the first
@@ -25,10 +25,18 @@ isomorphism"):
 
 Both skip only leaves that come later in depth-first order than a leaf
 with the same certificate, so neither changes the certificate or the
-permutation.  Refinement recounts, in each round, only the neighbors in
-the cells that split in the round before.  Disconnected graphs are
-canonicalized component by component and reassembled in sorted
-certificate order, which keeps highly symmetric unions cheap.
+permutation.  A third rule needs no leaf: a cell whose permutations are
+plainly automorphisms is branched on at its first member only (see _Node),
+which keeps complete and edgeless graphs linear in depth.
+
+Refinement splits every cell by one number per vertex, the sum of fixed
+integer weights of its neighbors' colors.  The sums depend only on the
+partition, never on vertex labels, which is all the search needs (McKay &
+Piperno 2014).  Rarely, unequal neighbor colors give equal sums: a cell
+then stays coarser, never wrong, as leaves compare full graph6 bytes.
+Disconnected graphs are canonicalized component by component and
+reassembled in sorted certificate order, which keeps highly symmetric
+unions cheap.
 
 Design isomorphism reuses the machinery on the incidence graph with the
 point/block sides as an ordered two-color partition, so points can never
@@ -51,20 +59,38 @@ class CanonicalForm:
     permutation: tuple[int, ...]  # input vertex -> canonical position
 
 
+def _color_weights(n: int, max_degree: int) -> np.ndarray:
+    """Fixed integer weights of the color ids 0..n-1, each below
+    2**(53 - max_degree.bit_length()).  A vertex sums at most max_degree of
+    them, which stays below 2**53, so float64 adds every sum exactly, in
+    any order.  The weights are the top bits of splitmix64 of the id."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11 + max_degree.bit_length())).astype(np.float64)
+
+
 class _Node:
     """A refined partition of the search tree and its branching state.
 
-    The candidates are the first largest cell.  A candidate is skipped when
-    an automorphism that fixes every vertex on the path to this node maps
-    it onto a candidate already branched on; orbits are kept as the least
-    vertex of each orbit, merged by min-label propagation.
+    The candidates are the first largest cell T.  A candidate is skipped
+    when an automorphism that fixes every vertex on the path to this node
+    maps it onto a candidate already branched on; orbits are kept as the
+    least vertex of each orbit, merged by min-label propagation.  When each
+    vertex of T has 0 or |T| - 1 neighbors in T and every other vertex 0 or
+    |T|, every permutation of T that fixes the rest is such an automorphism,
+    so T is one orbit and only its first member is a candidate.
     """
 
-    def __init__(self, cols: np.ndarray, width: int, path: list[int]):
+    def __init__(self, cols: np.ndarray, width: int, path: list[int], src, dst):
         self.cols, self.width = cols, width
         self.fixed = np.array(path, dtype=np.int64)
-        target = int(np.argmax(np.bincount(cols)))
-        self.members = np.nonzero(cols == target)[0].tolist()
+        inside = cols == int(np.argmax(np.bincount(cols)))
+        self.members = np.nonzero(inside)[0].tolist()
+        hits = np.bincount(src[inside[dst]], minlength=len(cols))
+        if ((hits == 0) | (hits == len(self.members) - inside)).all():
+            del self.members[1:]
         self.next = 0
         self.branched: list[int] = []
         self.gens: list[np.ndarray] = []
@@ -117,56 +143,37 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
     earr = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     src = np.concatenate([earr[:, 0], earr[:, 1]])
     dst = np.concatenate([earr[:, 1], earr[:, 0]])
-    ids = np.arange(n)
+    weight = _color_weights(n, int(np.bincount(src, minlength=n).max()))
 
-    def refine(
-        colors: np.ndarray, width: int, slot: np.ndarray
-    ) -> tuple[np.ndarray, int]:
-        # colors are 0..width-1.  Split cells by neighbor color histograms
-        # until stable; fresh ids follow the lexicographic order of the rows
-        # (color, histogram), so they only depend on the partition, never
-        # on vertex labels.  A histogram column that is constant on every
-        # cell cannot order two rows of one cell, so it is left out: that
-        # holds for every column but those of the fresh cells, the pieces
-        # of a cell that split in the round before (or by
-        # individualization).  slot[c] numbers the fresh cells from 0 and
-        # is -1 on the others.
+    def refine(colors: np.ndarray, width: int) -> tuple[np.ndarray, int]:
+        # colors are 0..width-1.  A round splits every cell by the sum of
+        # weight[c] over the neighbors' colors c; fresh ids follow (color,
+        # sum).  It stops when the cell count stops growing.
         while width < n:
-            k = int(slot.max()) + 1
-            ends = slot[colors[dst]]
-            hit = ends >= 0
-            counts = np.bincount(
-                ends[hit] * n + src[hit], minlength=k * n
-            ).reshape(k, n)
-            rep = np.empty(width, dtype=np.int64)
-            rep[colors] = ids
-            if not (counts != counts[:, rep[colors]]).any():
+            sums = np.bincount(src, weights=weight[colors[dst]], minlength=n)
+            order = np.lexsort((sums, colors))
+            c, s = colors[order], sums[order]
+            steps = (c[1:] != c[:-1]) | (s[1:] != s[:-1])
+            cells = int(np.count_nonzero(steps)) + 1
+            if cells == width:
                 break
-            keys = np.concatenate([counts[::-1], colors[None]])
-            order = np.lexsort(keys)
-            ranked = keys[:, order]
-            steps = np.logical_or.reduce(ranked[:, 1:] != ranked[:, :-1])
-            new = np.empty(n, dtype=np.int64)
-            new[order[0]] = 0
-            new[order[1:]] = np.add.accumulate(steps, dtype=np.int64)
-            parent = np.empty(int(new[order[-1]]) + 1, dtype=np.int64)
-            parent[new] = colors
-            split = np.bincount(parent, minlength=width)[parent] > 1
-            slot = np.where(split, np.add.accumulate(split, dtype=np.int64) - 1, -1)
-            colors, width = new, len(parent)
+            colors = np.empty(n, dtype=np.int64)
+            colors[order[0]] = 0
+            colors[order[1:]] = np.add.accumulate(steps, dtype=np.int64)
+            width = cells
         return colors, width
 
     def certificate(cols: np.ndarray) -> bytes:
         return _graph6(n, cols[earr[:, 0]], cols[earr[:, 1]])
 
     width = max(base) + 1
-    cols, width = refine(np.array(base, dtype=np.int64), width, np.arange(width))
+    cols, width = refine(np.array(base, dtype=np.int64), width)
     if width == n:
         return certificate(cols), tuple(cols.tolist())
     # the first leaf of each certificate, as (perm, path)
     leaves: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     gens: list[np.ndarray] = []
-    stack = [_Node(cols, width, [])]
+    stack = [_Node(cols, width, [], src, dst)]
     path: list[int] = []
     while stack:
         node = stack[-1]
@@ -181,11 +188,9 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
         c = node.cols[w]
         cols = node.cols + (node.cols >= c)
         cols[w] = c
-        slot = np.full(node.width + 1, -1)
-        slot[c:c + 2] = 0, 1
-        cols, width = refine(cols, node.width + 1, slot)
+        cols, width = refine(cols, node.width + 1)
         if width < n:
-            stack.append(_Node(cols, width, path))
+            stack.append(_Node(cols, width, path, src, dst))
             continue
         cert = certificate(cols)
         if cert not in leaves:
@@ -198,7 +203,7 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
         # of one already searched, and the search resumes at depth j
         perm, other = leaves[cert]
         inverse = np.empty(n, dtype=np.int64)
-        inverse[perm] = ids
+        inverse[perm] = np.arange(n)
         gens.append(inverse[cols])
         j = 0
         while path[j] == other[j]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -293,3 +294,72 @@ def test_dense_vertex_limit_exits_two(capsys, tmp_path, command):
     code, obj = run_json(capsys, command, str(path))
     assert code == 2
     assert obj["error"]["type"] == "TooManyVertices"
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("classify", {"n": True, "edges": []}, "'n' must be an integer"),
+    ("classify", {"n": 3, "edges": [[True, 2]]}, "bad edge entry"),
+    ("validate", {"v": True, "blocks": [[0]]}, "'v' must be an integer"),
+    ("validate", {"v": 7, "blocks": [[0, 1, 3], [1, 2, False]]}, "bad block entry"),
+    ("spectrum", {"entries": [{"a": 0, "multiplicity": True}]}, "must be integers"),
+    ("spectrum", {"entries": [{"a": 0, "b": 1, "d": True, "multiplicity": 1},
+                              {"a": 0, "b": -1, "d": True, "multiplicity": 1}]},
+     "must be integers"),
+], ids=["graph-n", "graph-endpoint", "design-v", "design-point",
+        "claim-multiplicity", "claim-d"])
+def test_json_booleans_are_not_integers(capsys, tmp_path, command, payload, message):
+    # json.loads gives bool for true and false, which Python counts as int
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    if command == "spectrum":
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+        argv = ["spectrum", str(graph_path), "--claim", str(path)]
+    else:
+        argv = [command, str(path)]
+    code, obj = run_json(capsys, *argv)
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+    assert message in obj["error"]["message"]
+
+
+def _fano_gamma1_file(capsys, tmp_path):
+    _, out = run(capsys, "gamma1", "catalog:fano-7-3-1", "--format", "graph6")
+    path = tmp_path / "fano-g1.g6"
+    path.write_text(out)
+    return path
+
+
+@pytest.mark.parametrize("entries, expected", [
+    # total multiplicity 10**9 against 21 vertices: refuted unexpanded
+    ([{"a": 0, "multiplicity": 10**9}], 1),
+    ([{"a": "1/2", "multiplicity": 10**9}], 2),
+    # d = 10**18 + 3 takes trial division to its cube root only
+    ([{"a": 0, "b": 1, "d": 10**18 + 3, "multiplicity": 1},
+      {"a": 0, "b": -1, "d": 10**18 + 3, "multiplicity": 1},
+      {"a": 0, "multiplicity": 19}], 1),
+    ([{"a": 0, "b": 1, "d": 2**64 + 1, "multiplicity": 1},
+      {"a": 0, "b": -1, "d": 2**64 + 1, "multiplicity": 1}], 2),
+], ids=["multiplicity-1e9", "non-integral-1e9", "d-1e18+3", "d-above-limit"])
+def test_large_claims_finish_quickly(capsys, tmp_path, entries, expected):
+    graph_path = _fano_gamma1_file(capsys, tmp_path)
+    claim_path = tmp_path / "claim.json"
+    claim_path.write_text(json.dumps({"entries": entries}))
+    start = time.perf_counter()
+    code, obj = run_json(capsys, "spectrum", str(graph_path), "--claim",
+                         str(claim_path))
+    assert time.perf_counter() - start < 2.0
+    assert code == expected
+    if expected == 1:
+        assert obj["verified"] is False
+
+
+def test_formula_with_a_huge_radicand_exits_two(capsys):
+    # disc = (v - 1)**2 with v - 1 = 10**12 + 39 prime, beyond the 2**64 limit
+    start = time.perf_counter()
+    code, obj = run_json(capsys, "formula", "gamma1", "--params",
+                         "1000000000040,500000000039500000000780,"
+                         "1000000000039,2,1")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert "exceeds the limit" in obj["error"]["message"]

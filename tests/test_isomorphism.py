@@ -4,6 +4,7 @@ import time
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,12 @@ from flagspec.graphs import (
     graph_to_graph6,
     line_graph,
 )
-from flagspec.isomorphism import canonical_form, design_isomorphic, is_isomorphic
+from flagspec.isomorphism import (
+    _color_weights,
+    canonical_form,
+    design_isomorphic,
+    is_isomorphic,
+)
 
 from oracles import brute_isomorphic
 
@@ -141,6 +147,20 @@ def test_design_isomorphism_detects_block_structure():
         design_isomorphic(fano, Design(7, broken_blocks))
 
 
+def test_design_isomorphism_survives_relabeling(catalog_designs):
+    # refinement leaves every point of a biplane in one cell, a coclique,
+    # yet the points of the (16,6,2) biplanes D2 and D3 are not one orbit:
+    # only a search that branches on each of them finds the same form
+    rng = random.Random(1729)
+    for d in catalog_designs.values():
+        for _ in range(3):
+            perm = list(range(d.v))
+            rng.shuffle(perm)
+            blocks = [[perm[p] for p in block] for block in d.blocks]
+            rng.shuffle(blocks)
+            assert design_isomorphic(d, Design(d.v, blocks))
+
+
 @pytest.mark.parametrize("key", ["gamma1:biplane-16-6-2-D3", "gamma2:biplane-16-6-2-D3"])
 def test_catalog_decisions_stay_inside_time_budget(
     key, gamma1_graphs, gamma2_graphs
@@ -218,6 +238,25 @@ def test_certificate_is_graph6_of_its_permutation(case):
     )
 
 
+def _switches(g):
+    """Edge pairs ab, cd whose switch to ac, bd keeps every degree."""
+    edges = set(g.edges)
+    return [
+        ((a, b), (c, d))
+        for (a, b), (c, d) in combinations(sorted(edges), 2)
+        if len({a, b, c, d}) == 4
+        and (min(a, c), max(a, c)) not in edges
+        and (min(b, d), max(b, d)) not in edges
+    ]
+
+
+def _switched(g, switch):
+    (a, b), (c, d) = switch
+    edges = set(g.edges) - {(a, b), (c, d)}
+    edges |= {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
+    return Graph(g.n, edges)
+
+
 @st.composite
 def decision_pairs(draw):
     """Two graphs on the same vertices: a relabeling, a degree-preserving
@@ -227,19 +266,9 @@ def decision_pairs(draw):
     h = g.relabel(perm)
     kind = draw(st.sampled_from(["relabel", "switch", "other"]))
     if kind == "switch":
-        edges = set(h.edges)
-        switches = [
-            ((a, b), (c, d))
-            for (a, b), (c, d) in combinations(sorted(edges), 2)
-            if len({a, b, c, d}) == 4
-            and (min(a, c), max(a, c)) not in edges
-            and (min(b, d), max(b, d)) not in edges
-        ]
+        switches = _switches(h)
         if switches:
-            (a, b), (c, d) = draw(st.sampled_from(switches))
-            edges -= {(a, b), (c, d)}
-            edges |= {(min(a, c), max(a, c)), (min(b, d), max(b, d))}
-            h = Graph(g.n, edges)
+            h = _switched(h, draw(st.sampled_from(switches)))
     elif kind == "other":
         h = draw(small_graphs(g.n))
     colors = draw(st.lists(st.integers(0, 1), min_size=g.n, max_size=g.n))
@@ -262,6 +291,116 @@ def test_decisions_match_networkx_and_brute_force(case):
         _nx(g, colors), _nx(h, other_colors),
         node_match=lambda x, y: x["color"] == y["color"],
     )
+
+
+@st.composite
+def medium_graphs(draw, n=None):
+    """Graphs on 10 to 40 vertices, or on exactly n: G(n, p) draws, which
+    refinement mostly splits, and 4-regular ones, which it cannot split
+    without branching."""
+    if n is None:
+        n = draw(st.integers(10, 40))
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return random_graph(n, draw(st.sampled_from([0.1, 0.3, 0.5, 0.8])), rng)
+    regular = nx.random_regular_graph(4, n, seed=rng.randrange(2**32))
+    return Graph(n, [tuple(sorted(e)) for e in regular.edges])
+
+
+@st.composite
+def medium_relabelings(draw):
+    """(g, colors, perm) with g from medium_graphs and a 3-coloring."""
+    g = draw(medium_graphs())
+    rng = draw(st.randoms(use_true_random=False))
+    colors = [rng.randrange(3) for _ in range(g.n)]
+    return g, colors, list(draw(st.permutations(range(g.n))))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(medium_relabelings())
+def test_certificate_invariant_under_relabeling_at_larger_n(case):
+    g, colors, perm = case
+    h = g.relabel(perm)
+    moved = [0] * g.n
+    for v, p in enumerate(perm):
+        moved[p] = colors[v]
+    assert canonical_form(g).certificate == canonical_form(h).certificate
+    assert (canonical_form(g, colors).certificate
+            == canonical_form(h, moved).certificate)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(medium_relabelings())
+def test_certificate_is_graph6_of_its_permutation_at_larger_n(case):
+    g, colors, perm = case
+    for h in (g, g.relabel(perm)):
+        cf = canonical_form(h)
+        assert cf.certificate == graph_to_graph6(h.relabel(list(cf.permutation))).encode()
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(medium_graphs(), st.sampled_from(["relabel", "switch", "other"]), st.data())
+def test_decisions_match_networkx_at_larger_n(g, kind, data):
+    h = g.relabel(list(data.draw(st.permutations(range(g.n)))))
+    if kind == "switch":
+        # one degree-preserving switch: the screens pass, the search decides
+        rng = data.draw(st.randoms(use_true_random=False))
+        switches = _switches(h)
+        if switches:
+            h = _switched(h, rng.choice(switches))
+    elif kind == "other":
+        h = data.draw(medium_graphs(g.n))
+    assert is_isomorphic(g, h) == nx.is_isomorphic(_nx(g), _nx(h))
+
+
+def _shrikhande_graph():
+    # Cayley graph of Z4 x Z4 with connection set +-(0,1), +-(1,0), +-(1,1)
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return Graph(16, [
+        (i, j) for i, j in combinations(range(16), 2)
+        if ((j // 4 - i // 4) % 4, (j % 4 - i % 4) % 4) in steps
+    ])
+
+
+def _paley_graph(q):
+    squares = {x * x % q for x in range(1, q)}
+    return Graph(q, [
+        (i, j) for i, j in combinations(range(q), 2) if (j - i) % q in squares
+    ])
+
+
+def test_strongly_regular_graphs():
+    # refinement never splits a cell of a strongly regular graph, so only
+    # the search tells these apart; both are SRG(16, 6, 2, 2)
+    shrikhande, rook = _shrikhande_graph(), _rook_graph(4)
+    assert not nx.is_isomorphic(_nx(shrikhande), _nx(rook))
+    assert not is_isomorphic(shrikhande, rook)
+    rng = random.Random(1729)
+    for g in (shrikhande, rook, _paley_graph(29), _paley_graph(37)):
+        h = shuffled(g, rng)
+        assert is_isomorphic(g, h)
+        cf = canonical_form(h)
+        assert cf.certificate == graph_to_graph6(h.relabel(list(cf.permutation))).encode()
+
+
+def test_color_weight_sums_are_exact_at_high_degree():
+    # the center of the star K1,10000 with every leaf in its own cell sums
+    # 10000 distinct weights; each lies below 2**(53 - 14), so the float64
+    # sum is exact in any order of addition
+    degree = 10_000
+    weight = _color_weights(degree + 1, degree)
+    bound = 2 ** (53 - degree.bit_length())
+    assert (weight == np.floor(weight)).all()
+    assert weight.max() < bound
+    # the bound is tight: the weights use its top bit
+    assert weight.max() >= bound // 2
+    exact = sum(int(w) for w in weight[1:])
+    assert exact < 2**53
+    hub = np.zeros(degree, dtype=np.int64)
+    rng = np.random.default_rng(1729)
+    for leaves in (weight[1:], weight[:0:-1], rng.permutation(weight[1:])):
+        assert np.bincount(hub, weights=leaves)[0] == exact
+    assert _color_weights(3, 0).max() < 2**53
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
@@ -297,18 +436,26 @@ SYMMETRIC_GRAPHS = {
         (i, j) for i, j in combinations(range(32), 2) if j != i + 16
     ]),
     "K30": complete_graph(30),
+    "K200": complete_graph(200),
+    # one color class keeps the search on the whole graph instead of 300
+    # one-vertex components
+    "edgeless-300-one-color": Graph(300, []),
 }
 
 
 @pytest.mark.parametrize("name", list(SYMMETRIC_GRAPHS))
 def test_symmetric_graphs_stay_inside_time_budget(name):
     graph = SYMMETRIC_GRAPHS[name]
+    colors = [0] * graph.n if name.endswith("one-color") else None
     # large automorphism groups: a search without jump-back takes seconds
-    # to minutes on these
+    # to minutes on these, and one that branches on every vertex of a cell
+    # that refinement cannot split takes seconds on K200 and on the
+    # edgeless graph
     h = shuffled(graph, random.Random(1729))
     start = time.perf_counter()
-    cf = canonical_form(h)
+    cf = canonical_form(h, colors)
     elapsed = time.perf_counter() - start
     assert elapsed < 2.0, f"{name} took {elapsed:.2f}s"
-    assert cf.certificate == graph_to_graph6(h.relabel(list(cf.permutation))).encode()
-    assert cf.certificate == canonical_form(graph).certificate
+    body = graph_to_graph6(h.relabel(list(cf.permutation))).encode()
+    assert cf.certificate.endswith(body)
+    assert cf.certificate == canonical_form(graph, colors).certificate

@@ -160,6 +160,19 @@ def test_verify_spectrum_decides():
     assert not verify_spectrum(cycle_graph(4), c4_false)
 
 
+def test_verify_spectrum_refutes_a_wrong_degree_unexpanded(monkeypatch):
+    def refuse(_):
+        raise AssertionError("a claim of the wrong degree was expanded")
+
+    monkeypatch.setattr(spectra, "claim_to_polynomial", refuse)
+    monkeypatch.setattr(spectra, "char_poly", refuse)
+    huge = SpectrumClaim([(ev(0), 10**9)])
+    assert not verify_spectrum(cycle_graph(4), huge)
+    # the integrality check still comes first
+    with pytest.raises(NonIntegralClaim):
+        verify_spectrum(cycle_graph(4), SpectrumClaim([(ev(Fraction(1, 2)), 10**9)]))
+
+
 def test_cospectral_smallest_pair():
     # the classical pair: C4 plus an isolated vertex, and the 4-star
     a = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -381,3 +394,55 @@ def test_claim_from_json_rejects_non_integers():
         claim_from_json({"entries": [{**entry, "d": 2.9}]})
     with pytest.raises(ValueError, match="must be integers"):
         claim_from_json({"entries": [{"a": "1", "multiplicity": "2"}]})
+
+
+def _sympy_square_free_factor(m):
+    s = d = 1
+    for p, e in sympy.factorint(m).items():
+        s *= p ** (e // 2)
+        d *= p ** (e % 2)
+    return (1, 0) if m == 0 else (s, d)
+
+
+@st.composite
+def radicands(draw):
+    """Integers up to 2**64: uniform draws, and a*a*b or p*q built from
+    factors near the cube-root cut-off of trial division."""
+    kind = draw(st.sampled_from(["uniform", "square-times", "two-large"]))
+    if kind == "uniform":
+        return draw(st.integers(0, 2**64))
+    if kind == "square-times":
+        a = draw(st.integers(1, 2**32))
+        return a * a * draw(st.integers(1, 2**64 // (a * a)))
+    p = sympy.prevprime(draw(st.integers(2**10, 2**32)))
+    return p * sympy.prevprime(draw(st.integers(3, 2**64 // p)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(radicands())
+def test_square_free_factor_matches_sympy(m):
+    assert spectra._square_free_factor(m) == _sympy_square_free_factor(m)
+
+
+def test_square_free_factor_edge_cases():
+    p = 2**61 - 1  # a Mersenne prime
+    q = 4_294_967_291  # the largest prime below 2**32
+    r = 2**31 - 1  # a Mersenne prime
+    assert spectra._square_free_factor(q * q) == (q, 1)
+    assert spectra._square_free_factor(3 * r * r) == (r, 3)
+    assert spectra._square_free_factor(r * q) == (1, r * q)
+    assert spectra._square_free_factor(p) == (1, p)
+    assert spectra._square_free_factor(2**64) == (2**32, 1)
+    for m, expected in [(0, (1, 0)), (1, (1, 1)), (8, (2, 2)), (72, (6, 2))]:
+        assert spectra._square_free_factor(m) == expected
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        spectra._square_free_factor(2**64 + 1)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        AlgebraicEigenvalue(0, 1, (10**12 + 39) ** 2)
+
+
+def test_claim_from_json_rejects_booleans():
+    entry = {"a": "2", "b": "1", "d": 2, "multiplicity": 3}
+    for key in ("multiplicity", "d"):
+        with pytest.raises(ValueError, match="must be integers"):
+            claim_from_json({"entries": [{**entry, key: True}]})
