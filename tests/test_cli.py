@@ -338,9 +338,10 @@ def _fano_gamma1_file(capsys, tmp_path):
     ([{"a": 0, "b": 1, "d": 10**18 + 3, "multiplicity": 1},
       {"a": 0, "b": -1, "d": 10**18 + 3, "multiplicity": 1},
       {"a": 0, "multiplicity": 19}], 1),
-    ([{"a": 0, "b": 1, "d": 2**64 + 1, "multiplicity": 1},
-      {"a": 0, "b": -1, "d": 2**64 + 1, "multiplicity": 1}], 2),
-], ids=["multiplicity-1e9", "non-integral-1e9", "d-1e18+3", "d-above-limit"])
+    # d = 2**89 - 1 is prime: no factor up to 2**22 and not below 2**66
+    ([{"a": 0, "b": 1, "d": 2**89 - 1, "multiplicity": 1},
+      {"a": 0, "b": -1, "d": 2**89 - 1, "multiplicity": 1}], 2),
+], ids=["multiplicity-1e9", "non-integral-1e9", "d-1e18+3", "d-too-large"])
 def test_large_claims_finish_quickly(capsys, tmp_path, entries, expected):
     graph_path = _fano_gamma1_file(capsys, tmp_path)
     claim_path = tmp_path / "claim.json"
@@ -355,11 +356,11 @@ def test_large_claims_finish_quickly(capsys, tmp_path, entries, expected):
 
 
 def test_formula_with_a_huge_radicand_exits_two(capsys):
-    # disc = (v - 1)**2 with v - 1 = 10**12 + 39 prime, beyond the 2**64 limit
+    # disc = (v - 1)**2 with v - 1 = 10**12 + 39 prime, too large to factor
     start = time.perf_counter()
     code, obj = run_json(capsys, "formula", "gamma1", "--params",
                          "1000000000040,500000000039500000000780,"
                          "1000000000039,2,1")
     assert time.perf_counter() - start < 2.0
     assert code == 2
-    assert "exceeds the limit" in obj["error"]["message"]
+    assert "too large to factor" in obj["error"]["message"]

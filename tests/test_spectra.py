@@ -411,10 +411,14 @@ def _sympy_square_free_factor(m):
 @st.composite
 def radicands(draw):
     """Integers up to 2**64: uniform draws, and a*a*b or p*q built from
-    factors near the cube-root cut-off of trial division."""
-    kind = draw(st.sampled_from(["uniform", "square-times", "two-large"]))
+    factors near the cube-root cut-off of trial division; and smooth
+    multiples of those uniform draws, far above 2**64."""
+    kind = draw(st.sampled_from(
+        ["uniform", "square-times", "two-large", "smooth-times"]))
     if kind == "uniform":
         return draw(st.integers(0, 2**64))
+    if kind == "smooth-times":
+        return draw(st.integers(0, 2**64)) * 6 ** draw(st.integers(1, 80))
     if kind == "square-times":
         a = draw(st.integers(1, 2**32))
         return a * a * draw(st.integers(1, 2**64 // (a * a)))
@@ -439,7 +443,13 @@ def test_square_free_factor_edge_cases():
     assert spectra._square_free_factor(2**64) == (2**32, 1)
     for m, expected in [(0, (1, 0)), (1, (1, 1)), (8, (2, 2)), (72, (6, 2))]:
         assert spectra._square_free_factor(m) == expected
-    with pytest.raises(ValueError, match="exceeds the limit"):
-        spectra._square_free_factor(2**64 + 1)
-    with pytest.raises(ValueError, match="exceeds the limit"):
+    # above 2**64, trial division still strips small factors quickly
+    assert spectra._square_free_factor(2**64 + 1) == (1, 2**64 + 1)
+    assert spectra._square_free_factor(2**70) == (2**35, 1)
+    assert spectra._square_free_factor(3 * 2**201) == (2**100, 6)
+    assert AlgebraicEigenvalue(0, 1, 2**70) == AlgebraicEigenvalue(2**35)
+    # what is left after no prime factor up to 2**22 must be below 2**66
+    with pytest.raises(ValueError, match="too large to factor"):
+        spectra._square_free_factor(2**89 - 1)  # a Mersenne prime
+    with pytest.raises(ValueError, match="too large to factor"):
         AlgebraicEigenvalue(0, 1, (10**12 + 39) ** 2)
