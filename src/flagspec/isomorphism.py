@@ -26,8 +26,10 @@ isomorphism"):
 Both skip only leaves that come later in depth-first order than a leaf
 with the same certificate, so neither changes the certificate or the
 permutation.  A third rule needs no leaf: a cell whose permutations are
-plainly automorphisms is branched on at its first member only (see _Node),
-which keeps complete and edgeless graphs linear in depth.
+plainly automorphisms is individualized whole, in one step (see _Node),
+which takes complete and edgeless graphs and stars in one node.  The
+children of such a node in any other member order are images of this one
+under those automorphisms, so the certificate stays canonical.
 
 Refinement splits every cell by one number per vertex, the sum of fixed
 integer weights of its neighbors' colors.  The sums depend only on the
@@ -75,22 +77,22 @@ class _Node:
     """A refined partition of the search tree and its branching state.
 
     The candidates are the first largest cell T.  A candidate is skipped
-    when an automorphism that fixes every vertex on the path to this node
-    maps it onto a candidate already branched on; orbits are kept as the
-    least vertex of each orbit, merged by min-label propagation.  When each
-    vertex of T has 0 or |T| - 1 neighbors in T and every other vertex 0 or
-    |T|, every permutation of T that fixes the rest is such an automorphism,
-    so T is one orbit and only its first member is a candidate.
+    when an automorphism that fixes every vertex individualized on the path
+    to this node maps it onto a candidate already branched on; orbits are
+    kept as the least vertex of each orbit, merged by min-label propagation.
+    When each vertex of T has 0 or |T| - 1 neighbors in T and every other
+    vertex 0 or |T|, every permutation of T that fixes the rest is such an
+    automorphism, so the node is `whole`: its one child individualizes all
+    of T at once, in member order, and its first member stands for it.
     """
 
-    def __init__(self, cols: np.ndarray, width: int, path: list[int], src, dst):
-        self.cols, self.width = cols, width
-        self.fixed = np.array(path, dtype=np.int64)
+    def __init__(self, cols: np.ndarray, width: int, fixed: np.ndarray, src, dst):
+        self.cols, self.width, self.fixed = cols, width, fixed
         inside = cols == int(np.argmax(np.bincount(cols)))
-        self.members = np.nonzero(inside)[0].tolist()
+        self.cell = np.nonzero(inside)[0]
         hits = np.bincount(src[inside[dst]], minlength=len(cols))
-        if ((hits == 0) | (hits == len(self.members) - inside)).all():
-            del self.members[1:]
+        self.whole = bool(((hits == 0) | (hits == len(self.cell) - inside)).all())
+        self.members = self.cell[: 1 if self.whole else None].tolist()
         self.next = 0
         self.branched: list[int] = []
         self.gens: list[np.ndarray] = []
@@ -173,7 +175,8 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
     # the first leaf of each certificate, as (perm, path)
     leaves: dict[bytes, tuple[np.ndarray, list[int]]] = {}
     gens: list[np.ndarray] = []
-    stack = [_Node(cols, width, [], src, dst)]
+    stack = [_Node(cols, width, np.zeros(0, dtype=np.int64), src, dst)]
+    # one entry per stack level: the candidate taken there
     path: list[int] = []
     while stack:
         node = stack[-1]
@@ -183,14 +186,17 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
             stack.pop()
             continue
         path.append(w)
-        # individualize w: it keeps its cell's id and comes first; the
-        # rest of its cell and every later cell move up by one
+        # individualize w, or every member of T but the last, which is then
+        # alone too: they take their cell's id onward in order, and the rest
+        # of the cell and every later cell move up by as many
+        new = node.cell[:-1] if node.whole else np.array([w])
         c = node.cols[w]
-        cols = node.cols + (node.cols >= c)
-        cols[w] = c
-        cols, width = refine(cols, node.width + 1)
+        cols = node.cols + (node.cols >= c) * len(new)
+        cols[new] = c + np.arange(len(new))
+        cols, width = refine(cols, node.width + len(new))
         if width < n:
-            stack.append(_Node(cols, width, path, src, dst))
+            fixed = np.concatenate([node.fixed, new])
+            stack.append(_Node(cols, width, fixed, src, dst))
             continue
         cert = certificate(cols)
         if cert not in leaves:

@@ -64,6 +64,30 @@ def hessenberg_det_mod(h, x0, p):
     return det % p
 
 
+def hessenberg_mod_reference(rows, p):
+    """Upper Hessenberg form over GF(p) by elementary similarities on
+    Python ints, reduced with %: for each column, the first row below the
+    subdiagonal with a nonzero entry is swapped into place (row and
+    column), then each entry below it is cleared by a row operation that is
+    undone at once by the inverse column operation."""
+    h = [[x % p for x in row] for row in rows]
+    n = len(h)
+    for col in range(n - 2):
+        piv = next((i for i in range(col + 1, n) if h[i][col]), None)
+        if piv is None:
+            continue
+        h[col + 1], h[piv] = h[piv], h[col + 1]
+        for row in h:
+            row[col + 1], row[piv] = row[piv], row[col + 1]
+        inv = pow(h[col + 1][col], -1, p)
+        for i in range(col + 2, n):
+            f = h[i][col] * inv % p
+            h[i] = [(a - f * b) % p for a, b in zip(h[i], h[col + 1])]
+            for row in h:
+                row[col + 1] = (row[col + 1] + f * row[i]) % p
+    return h
+
+
 def fraction_claim_polynomial(claim) -> list[Fraction]:
     """Ascending rational coefficients of a spectrum claim's polynomial.
 

@@ -267,6 +267,19 @@ def test_formula_output_feeds_spectrum_claim(capsys, tmp_path):
     assert verdict["verified"] is True
 
 
+@pytest.mark.parametrize("tolerance", ["inf", "-inf", "nan", "0"])
+def test_numeric_spectrum_rejects_non_finite_tolerance(capsys, tmp_path, tolerance):
+    code, out = run(capsys, "gamma1", "catalog:biplane-11-5-2", "--format",
+                    "graph6")
+    path = tmp_path / "g.g6"
+    path.write_text(out)
+    code, obj = run_json(capsys, "spectrum", str(path), "--numeric",
+                         f"--tolerance={tolerance}")
+    assert code == 2
+    assert obj["error"] == {"type": "format", "message":
+                            "tolerance must be a positive finite number"}
+
+
 def test_non_integer_json_numbers_exit_two(capsys, tmp_path):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps({"n": 3, "edges": [[0, 1.9]]}))

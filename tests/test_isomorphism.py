@@ -404,9 +404,12 @@ def test_color_weight_sums_are_exact_at_high_degree():
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():
-    # refinement never splits a cell of K60 or of the one-colored edgeless
-    # graph, so the search goes about 60 levels deep
+    # each level of the one-colored perfect matching on 120 vertices
+    # individualizes one vertex and, by refinement, its partner, so the
+    # search goes 60 levels deep; refinement never splits a cell of K60 or
+    # of the edgeless graph, which each take one level
     g, e = complete_graph(60), Graph(60, [])
+    matching = Graph(120, [(2 * i, 2 * i + 1) for i in range(60)])
     limit = sys.getrecursionlimit()
     frame, depth = sys._getframe(), 0
     while frame is not None:
@@ -415,10 +418,13 @@ def test_search_depth_is_not_bounded_by_the_recursion_limit():
     try:
         cg = canonical_form(g)
         ce = canonical_form(e, [0] * 60)
+        cm = canonical_form(matching, [0] * 120)
     finally:
         sys.setrecursionlimit(limit)
     assert cg.certificate == graph_to_graph6(g).encode()
     assert ce.certificate == b"60:" + graph_to_graph6(e).encode()
+    assert cm.certificate == b"120:" + graph_to_graph6(
+        matching.relabel(list(cm.permutation))).encode()
 
 
 def _rook_graph(k):
@@ -440,6 +446,7 @@ SYMMETRIC_GRAPHS = {
     # one color class keeps the search on the whole graph instead of 300
     # one-vertex components
     "edgeless-300-one-color": Graph(300, []),
+    "K1,10000": Graph(10001, [(0, i) for i in range(1, 10001)]),
 }
 
 
@@ -448,9 +455,10 @@ def test_symmetric_graphs_stay_inside_time_budget(name):
     graph = SYMMETRIC_GRAPHS[name]
     colors = [0] * graph.n if name.endswith("one-color") else None
     # large automorphism groups: a search without jump-back takes seconds
-    # to minutes on these, and one that branches on every vertex of a cell
+    # to minutes on these, one that branches on every vertex of a cell
     # that refinement cannot split takes seconds on K200 and on the
-    # edgeless graph
+    # edgeless graph, and one that individualizes such a cell one vertex
+    # per level takes seconds on the star
     h = shuffled(graph, random.Random(1729))
     start = time.perf_counter()
     cf = canonical_form(h, colors)

@@ -32,6 +32,7 @@ from oracles import (
     berkowitz_charpoly,
     fraction_claim_polynomial,
     hessenberg_det_mod,
+    hessenberg_mod_reference,
 )
 
 
@@ -245,8 +246,9 @@ def test_numeric_spectrum_builds_one_sturm_chain(monkeypatch):
 
 
 def test_numeric_spectrum_rejects_bad_tolerance():
-    with pytest.raises(ValueError):
-        numeric_spectrum(cycle_graph(4), 0.0)
+    for tolerance in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive finite"):
+            numeric_spectrum(cycle_graph(4), tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +352,63 @@ def test_char_poly_matches_berkowitz_over_several_primes(name):
     assert len(spectra._modular_primes(2 * bound)) >= 2
 
 
-@pytest.mark.parametrize("n, m, primes", [(96, 480, 9), (333, 2664, 29)])
+@pytest.mark.parametrize("n, m, primes", [(96, 480, 7), (333, 2664, 26)])
 def test_coeff_bound_prime_counts(n, m, primes):
     # gamma1 of the (16,6,2) and (37,9,2) biplanes: 10- and 16-regular
     bound = spectra._coeff_bound(n, m)
     assert len(spectra._modular_primes(2 * bound)) == primes
+
+
+@st.composite
+def bound_graphs(draw):
+    """Sparse, dense, disconnected, edgeless and complete graphs, n <= 40."""
+    kind = draw(st.sampled_from(
+        ["sparse", "dense", "disconnected", "edgeless", "complete"]))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "edgeless":
+        return Graph(n, [])
+    if kind == "complete":
+        return complete_graph(n)
+    if kind == "disconnected":
+        half = n // 2
+        left, right = random_graph(half, 0.7, seed), random_graph(n - half, 0.3, seed + 1)
+        return Graph(n, list(left.edges) + [(u + half, v + half) for u, v in right.edges])
+    return random_graph(n, 0.1 if kind == "sparse" else 0.9, seed)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bound_graphs())
+def test_coeff_bound_covers_the_coefficient_norm(g):
+    # the Parseval bound caps the sum of squares, not only each coefficient
+    bound = spectra._coeff_bound(g.n, g.edge_count)
+    assert bound * bound >= sum(c * c for c in berkowitz_charpoly(g))
+
+
+@pytest.mark.parametrize("beyond", [1, 2**27, 2**200, 10**300, 2**681],
+                         ids=lambda b: f"{b.bit_length()}-bit")
+def test_modular_primes_are_the_shortest_descending_prefix(beyond):
+    primes = spectra._modular_primes(beyond)
+    spectra._modular_primes(2**2000)
+    assert spectra._modular_primes(beyond) == primes
+    # every prime below 2**27 down to the last one, in descending order
+    assert primes == [q for q in range(2**27 - 1, primes[-1] - 1, -1)
+                      if sympy.isprime(q)]
+    assert math.prod(primes) > beyond >= math.prod(primes[:-1])
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("p", [7, P27])
+def test_hessenberg_reduction_matches_the_reference(seed, p):
+    # most entries are multiples of p, so many columns need a pivot swap or
+    # have nothing to clear
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 31))
+    mat = rng.integers(-(2**40), 2**40, size=(n, n))
+    zero = rng.random((n, n)) < rng.uniform(0.3, 0.95)
+    mat[zero] = p * rng.integers(-3, 4, size=int(zero.sum()))
+    h = spectra._hessenberg_mod(mat, p)
+    assert h.tolist() == hessenberg_mod_reference(mat.tolist(), p)
 
 
 @st.composite
