@@ -9,19 +9,24 @@ leaf, in depth-first order, that reaches it.  Byte-equal certificates hold
 exactly for isomorphic graphs.
 
 Two leaves with equal certificates expose an automorphism, which maps the
-path of one onto the path of the other and so fixes their common prefix.
+path of one onto the path of the other and so fixes their common prefix:
+a vertex individualized at a node both paths share keeps its canonical
+position in both leaves.  The stack is the whole search state, the path
+being the candidate each node branched on last, so the common prefix ends
+at the first level j whose candidate the automorphism moves.
 Automorphisms prune in two ways (McKay 1981, "Practical graph
 isomorphism"):
 
-* orbit pruning: at each node, a candidate that an automorphism fixing
-  the node's path maps onto an earlier candidate is not branched on;
-* jump-back: when a leaf's certificate equals an earlier leaf's, every
-  leaf below the child taken at the end of their common prefix is the
-  image of a leaf below the earlier leaf's child, a subtree already
-  searched, so the search returns straight to that node.  McKay compares
-  each leaf with the first and the best leaf; the search keeps the first
-  leaf of every distinct certificate instead, which finds more
-  automorphisms at the cost of one stored certificate per distinct leaf.
+* jump-back: every leaf below the child taken at level j is the image of
+  a leaf below the earlier leaf's child, a subtree already searched, so
+  the search returns straight to level j.  McKay compares each leaf with
+  the first and the best leaf; the search keeps the first leaf of every
+  distinct certificate instead, which finds more automorphisms at the
+  cost of one stored certificate per distinct leaf.
+* orbit pruning: the automorphism fixes the path to each of the j + 1
+  nodes left on the stack and goes to each of them; at a node, a
+  candidate that one of its automorphisms maps onto an earlier candidate
+  is not branched on.
 
 Both skip only leaves that come later in depth-first order than a leaf
 with the same certificate, so neither changes the certificate or the
@@ -77,17 +82,19 @@ class _Node:
     """A refined partition of the search tree and its branching state.
 
     The candidates are the first largest cell T.  A candidate is skipped
-    when an automorphism that fixes every vertex individualized on the path
-    to this node maps it onto a candidate already branched on; orbits are
-    kept as the least vertex of each orbit, merged by min-label propagation.
-    When each vertex of T has 0 or |T| - 1 neighbors in T and every other
-    vertex 0 or |T|, every permutation of T that fixes the rest is such an
+    when an automorphism in `gens` maps it onto a candidate already
+    branched on.  The search hands a node every automorphism it finds
+    while the node stays on the stack after the jump-back; each fixes every
+    vertex individualized on the path to the node.  Orbits are kept as the
+    least vertex of each orbit, merged by min-label propagation.  When each
+    vertex of T has 0 or |T| - 1 neighbors in T and every other vertex 0 or
+    |T|, every permutation of T that fixes the rest is such an
     automorphism, so the node is `whole`: its one child individualizes all
     of T at once, in member order, and its first member stands for it.
     """
 
-    def __init__(self, cols: np.ndarray, width: int, fixed: np.ndarray, src, dst):
-        self.cols, self.width, self.fixed = cols, width, fixed
+    def __init__(self, cols: np.ndarray, width: int, src, dst):
+        self.cols, self.width = cols, width
         inside = cols == int(np.argmax(np.bincount(cols)))
         self.cell = np.nonzero(inside)[0]
         hits = np.bincount(src[inside[dst]], minlength=len(cols))
@@ -96,32 +103,24 @@ class _Node:
         self.next = 0
         self.branched: list[int] = []
         self.gens: list[np.ndarray] = []
-        self.seen = 0
         self.orbit = np.arange(len(cols))
 
-    def pick(self, gens: list[np.ndarray]) -> int | None:
+    def pick(self) -> int | None:
         """Next candidate to branch on, or None when the node is done."""
         while self.next < len(self.members):
             w = self.members[self.next]
             self.next += 1
-            if self.branched:
-                if len(gens) > self.seen:
-                    self._merge(gens)
-                if self.gens and self.orbit[w] in self.orbit[self.branched]:
-                    continue
+            if self.gens and self.orbit[w] in self.orbit[self.branched]:
+                continue
             self.branched.append(w)
             return w
         return None
 
-    def _merge(self, gens: list[np.ndarray]):
-        new = [
-            p for p in gens[self.seen:]
-            if np.array_equal(p[self.fixed], self.fixed)
-        ]
-        self.seen = len(gens)
-        if not new:
-            return
-        self.gens += new
+    def merge(self, gen: np.ndarray):
+        """Add an automorphism that fixes the path to this node."""
+        if self.next == len(self.members):
+            return  # no candidate left to prune
+        self.gens.append(gen)
         # every label stays a vertex of its own orbit and never exceeds
         # its vertex, so the fixed point is the least vertex of each orbit
         # of the group these generators span
@@ -140,7 +139,8 @@ class _Node:
 def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
     """Depth-first search over individualizations; returns (certificate,
     perm).  An explicit stack of nodes drives it, so the depth is not
-    bounded by the interpreter's recursion limit."""
+    bounded by the interpreter's recursion limit; the path to the current
+    leaf is the last candidate branched on at each level."""
     n = g.n
     earr = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
     src = np.concatenate([earr[:, 0], earr[:, 1]])
@@ -172,20 +172,15 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
     cols, width = refine(np.array(base, dtype=np.int64), width)
     if width == n:
         return certificate(cols), tuple(cols.tolist())
-    # the first leaf of each certificate, as (perm, path)
-    leaves: dict[bytes, tuple[np.ndarray, list[int]]] = {}
-    gens: list[np.ndarray] = []
-    stack = [_Node(cols, width, np.zeros(0, dtype=np.int64), src, dst)]
-    # one entry per stack level: the candidate taken there
-    path: list[int] = []
+    # the first leaf of each certificate, as its coloring
+    leaves: dict[bytes, np.ndarray] = {}
+    stack = [_Node(cols, width, src, dst)]
     while stack:
         node = stack[-1]
-        del path[len(stack) - 1:]
-        w = node.pick(gens)
+        w = node.pick()
         if w is None:
             stack.pop()
             continue
-        path.append(w)
         # individualize w, or every member of T but the last, which is then
         # alone too: they take their cell's id onward in order, and the rest
         # of the cell and every later cell move up by as many
@@ -195,28 +190,27 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
         cols[new] = c + np.arange(len(new))
         cols, width = refine(cols, node.width + len(new))
         if width < n:
-            fixed = np.concatenate([node.fixed, new])
-            stack.append(_Node(cols, width, fixed, src, dst))
+            stack.append(_Node(cols, width, src, dst))
             continue
         cert = certificate(cols)
         if cert not in leaves:
-            leaves[cert] = cols, list(path)
+            leaves[cert] = cols
             continue
-        # an earlier leaf with this certificate exposes an automorphism of
-        # g mapping this leaf's path onto that leaf's (a different path, as
-        # a path determines its leaf), so it fixes their common prefix of
-        # length j: the subtree of the child taken at depth j is the image
-        # of one already searched, and the search resumes at depth j
-        perm, other = leaves[cert]
+        # an earlier leaf with this certificate: the automorphism mapping
+        # this leaf onto it first moves a path vertex at level j, the end
+        # of their common prefix; jump back there and hand it to the nodes
+        # left, whose paths it fixes
         inverse = np.empty(n, dtype=np.int64)
-        inverse[perm] = np.arange(n)
-        gens.append(inverse[cols])
+        inverse[leaves[cert]] = np.arange(n)
+        gen = inverse[cols]
         j = 0
-        while path[j] == other[j]:
+        while gen[stack[j].branched[-1]] == stack[j].branched[-1]:
             j += 1
         del stack[j + 1:]
+        for kept in stack:
+            kept.merge(gen)
     best = min(leaves)
-    return best, tuple(leaves[best][0].tolist())
+    return best, tuple(leaves[best].tolist())
 
 
 def _assemble_components(g: Graph, parts) -> tuple[bytes, tuple[int, ...]]:

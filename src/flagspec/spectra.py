@@ -306,43 +306,36 @@ def _charpoly_mod(h: np.ndarray, p: int) -> list[int]:
     """Ascending coefficients of det(xI - h) over GF(p), for h upper
     Hessenberg with entries in 0..p-1.
 
-    Uses the leading-principal-minor recurrence.  Step j subtracts up to
-    j - 1 products of two residues from `new`, which is reduced mod p after
-    every _CHUNK of them, so no int64 sum overflows at any n.
+    Uses the leading-principal-minor recurrence: the minor of order j is
+    x * chi_{j-1} minus the sum over rows m < j of h[m, j-1] times the
+    product of the subdiagonal entries h[m+1, m] .. h[j-1, j-2] times
+    chi_m; the diagonal term is m = j - 1, with the empty product.  Those
+    products are kept in `suffix`, and rows before the last zero
+    subdiagonal entry, whose products are zero, are skipped.  The sum is
+    one vector-matrix product per _CHUNK rows, each term a product of two
+    residues, so every partial sum stays below 2**62 at any n.
     """
     n = h.shape[0]
     polys = np.zeros((n + 1, n + 1), dtype=np.int64)
     polys[0, 0] = 1
+    subdiagonal = [0] + np.diagonal(h, -1).tolist()  # [k] is h[k, k-1]
+    suffix = np.zeros(n, dtype=np.int64)
+    lo = 0
     for j in range(1, n + 1):
-        new = np.zeros(n + 1, dtype=np.int64)
-        new[1 : j + 1] = polys[j - 1, :j]
-        new[:j] -= int(h[j - 1, j - 1]) * polys[j - 1, :j]
-        new %= p
-        prod, stop = 1, j - 1
-        while stop > 0 and prod:
-            start, stop = stop, max(stop - _CHUNK, 0)
-            for i in range(start, stop, -1):
-                prod = (prod * int(h[i, i - 1])) % p
-                if prod == 0:
-                    break
-                top = int(h[i - 1, j - 1])
-                if top:
-                    new[:i] -= (top * prod % p) * polys[i - 1, :i]
-            new %= p
-        polys[j] = new
-    return [int(c) for c in polys[n]]
-
-
-def _crt_symmetric(residues: list[int], primes: list[int]) -> int:
-    """Unique representative in (-Q/2, Q/2], Q the product of the primes."""
-    value, modulus = 0, 1
-    for r, p in zip(residues, primes):
-        t = ((r - value) * pow(modulus, -1, p)) % p
-        value += modulus * t
-        modulus *= p
-    if value > modulus // 2:
-        value -= modulus
-    return value
+        if subdiagonal[j - 1]:
+            suffix[lo : j - 1] *= subdiagonal[j - 1]
+            suffix[lo : j - 1] %= p
+        else:
+            lo = j - 1
+        suffix[j - 1] = 1
+        terms = h[lo:j, j - 1] * suffix[lo:j] % p
+        row = polys[j]
+        row[1 : j + 1] = polys[j - 1, :j]
+        for start in range(lo, j, _CHUNK):
+            stop = min(start + _CHUNK, j)
+            row[:j] -= terms[start - lo : stop - lo] @ polys[start:stop, :j]
+            row[:j] %= p
+    return polys[n].tolist()
 
 
 def char_poly(g: Graph) -> IntPolynomial:
@@ -357,9 +350,14 @@ def char_poly(g: Graph) -> IntPolynomial:
     adj = g.adjacency()
     primes = _modular_primes(2 * _coeff_bound(n, g.edge_count))
     rows = [_charpoly_mod(_hessenberg_mod(adj, p), p) for p in primes]
-    coeffs = [
-        _crt_symmetric([row[i] for row in rows], primes) for i in range(n + 1)
-    ]
+    # Chinese remainder: the weight of each prime is 1 mod it and 0 mod the
+    # others; each coefficient is taken in (-q/2, q/2]
+    q = math.prod(primes)
+    weights = [q // p * pow(q // p, -1, p) for p in primes]
+    coeffs = []
+    for column in zip(*rows):
+        c = sum(r * w for r, w in zip(column, weights)) % q
+        coeffs.append(c - q if c > q // 2 else c)
     poly = IntPolynomial(coeffs)
     # free self-checks: monic, trace zero, x^(n-2) coefficient counts edges
     if poly.degree != n or not poly.is_monic:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagspec.catalog import clebsch_graph
 from flagspec.designs import Design
 from flagspec.graphs import (
     Graph,
@@ -435,6 +436,12 @@ def _rook_graph(k):
     ])
 
 
+def _copies(g, k):
+    return Graph(k * g.n, [
+        (c * g.n + i, c * g.n + j) for c in range(k) for i, j in g.edges
+    ])
+
+
 SYMMETRIC_GRAPHS = {
     "rook-8x8": _rook_graph(8),
     "K12,12": Graph(24, [(i, 12 + j) for i in range(12) for j in range(12)]),
@@ -447,6 +454,9 @@ SYMMETRIC_GRAPHS = {
     # one-vertex components
     "edgeless-300-one-color": Graph(300, []),
     "K1,10000": Graph(10001, [(0, i) for i in range(1, 10001)]),
+    # six Clebsch graphs searched as one: leaves that part deep in the
+    # stack hand their automorphisms to several levels at once
+    "6xclebsch-one-color": _copies(clebsch_graph(), 6),
 }
 
 

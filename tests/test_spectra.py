@@ -294,16 +294,35 @@ def test_numeric_spectrum_certification_raises(monkeypatch):
 P27 = (1 << 27) - 39  # a 27-bit prime: residue products come near 2^54
 
 
-def test_charpoly_recurrence_survives_adversarial_residues():
+def _unit_subdiagonal(rng):
     # unit subdiagonal, random diagonal, and last columns filled with
     # residues just below p: the last steps of the recurrence subtract
     # about n products near p^2 / 2 each, past the int64 range at n > 1024
     n = 1100
-    rng = np.random.default_rng(1)
     h = np.zeros((n, n), dtype=np.int64)
     h[np.arange(n), np.arange(n)] = rng.integers(0, P27, size=n)
     h[:, -8:] = np.triu(rng.integers(P27 - (1 << 20), P27, size=(n, 8)), 8 - n)
     h[np.arange(1, n), np.arange(n - 1)] = 1
+    return h
+
+
+def _broken_subdiagonal(rng):
+    # a dense upper triangle of residues just below p over a subdiagonal
+    # whose zeros cut it into short runs and one of 300 rows, longer than
+    # the recurrence's chunk of 256
+    n = 600
+    h = np.triu(rng.integers(P27 - (1 << 20), P27, size=(n, n)))
+    h[np.arange(1, n), np.arange(n - 1)] = rng.integers(1, P27, size=n - 1)
+    for row in (1, 5, 6, 20, 37, 100, 400, 403, 450, 451, 520, 599):
+        h[row, row - 1] = 0
+    return h
+
+
+@pytest.mark.parametrize("build", [_unit_subdiagonal, _broken_subdiagonal],
+                         ids=["unit-subdiagonal", "broken-subdiagonal"])
+def test_charpoly_recurrence_survives_adversarial_residues(build):
+    assert spectra._CHUNK < 300  # the long run spans two chunks
+    h = build(np.random.default_rng(1))
     coeffs = spectra._charpoly_mod(h, P27)
     rows = h.tolist()
     for x0 in (2, 12345, P27 - 7):
