@@ -56,14 +56,13 @@ class NonIntegralClaim(FlagspecError):
 
 
 class TooManyVertices(FlagspecError):
-    """A dense n x n kernel was asked for more vertices than it accepts."""
+    """A graph reader or a dense n x n kernel was given more vertices than
+    it accepts; `what` names the limit that was hit."""
 
-    def __init__(self, n: int, limit: int):
+    def __init__(self, n: int, limit: int, what: str):
         self.n = n
         self.limit = limit
-        super().__init__(
-            f"{n} vertices exceed the dense-kernel limit of {limit}"
-        )
+        super().__init__(f"{n} vertices exceed {what} of {limit}")
 
 
 class SelfCheckFailed(FlagspecError):

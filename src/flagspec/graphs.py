@@ -26,7 +26,9 @@ DENSE_VERTEX_LIMIT = 8192
 
 def _check_dense(n: int):
     if n > DENSE_VERTEX_LIMIT:
-        raise TooManyVertices(n, DENSE_VERTEX_LIMIT)
+        raise TooManyVertices(
+            n, DENSE_VERTEX_LIMIT, "the dense-kernel limit DENSE_VERTEX_LIMIT"
+        )
 
 
 class Graph:
@@ -35,9 +37,15 @@ class Graph:
     Edges are stored as a sorted tuple of (i, j) pairs with i < j, plus one
     sorted neighbor tuple per vertex for traversals; pair counts and spectra
     read the dense adjacency() matrix instead.
+
+    Since nothing changes after construction, an instance also holds results
+    derived from it: spectra.char_poly and the uncolored
+    isomorphism.canonical_form keep theirs in the private _derived dict, so
+    asking the same instance again returns the stored (immutable) object.  A
+    new Graph with equal content starts empty and computes afresh.
     """
 
-    __slots__ = ("n", "edges", "_neighbors")
+    __slots__ = ("n", "edges", "_neighbors", "_derived")
 
     def __init__(self, n: int, edges):
         if n < 0:
@@ -57,6 +65,7 @@ class Graph:
             nbrs[i].append(j)
             nbrs[j].append(i)
         self._neighbors = tuple(tuple(sorted(a)) for a in nbrs)
+        self._derived: dict = {}
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
@@ -219,6 +228,11 @@ def graph_from_json(obj) -> Graph:
     n = obj["n"]
     if not _json_int(n):
         raise ValueError("'n' must be an integer")
+    if n > _G6_MAX_N:
+        # refused before Graph builds one neighbor list per vertex
+        raise TooManyVertices(
+            n, _G6_MAX_N, "the graph-file limit (graph6's largest order)"
+        )
     edges = []
     for e in obj["edges"]:
         if not (

@@ -48,6 +48,11 @@ unions cheap.
 Design isomorphism reuses the machinery on the incidence graph with the
 point/block sides as an ordered two-color partition, so points can never
 map to blocks: dualities of symmetric designs deliberately do not count.
+
+The uncolored form is kept on the Graph instance, so is_isomorphic and
+repeat canonical_form calls search each instance once.  Colored forms are
+not kept: design_isomorphic builds fresh incidence graphs on every call,
+so a stored one would never be asked for again.
 """
 
 from __future__ import annotations
@@ -239,6 +244,8 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
     With `colors`, vertices only ever map within their color class and the
     certificate gains a class-size prefix; color values are ordinal (the
     class with the smallest color occupies the lowest canonical positions).
+    The uncolored form is kept on g, so a repeat call on the same instance
+    returns it without searching.
     """
     n = g.n
     if colors is not None:
@@ -251,18 +258,22 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
             sizes[c] += 1
         prefix = (",".join(map(str, sizes)) + ":").encode("ascii")
     else:
+        form = g._derived.get("canonical_form")
+        if form is not None:
+            return form
         base = [0] * n
         prefix = b""
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
-        return CanonicalForm(prefix + _graph6(0, empty, empty), ())
+        cert, perm = _graph6(0, empty, empty), ()
+    elif colors is None and len(parts := connected_components(g)) > 1:
+        cert, perm = _assemble_components(g, parts)
+    else:
+        cert, perm = _search(g, base)
+    form = CanonicalForm(prefix + cert, perm)
     if colors is None:
-        parts = connected_components(g)
-        if len(parts) > 1:
-            cert, perm = _assemble_components(g, parts)
-            return CanonicalForm(prefix + cert, perm)
-    cert, perm = _search(g, base)
-    return CanonicalForm(prefix + cert, perm)
+        g._derived["canonical_form"] = form
+    return form
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:

@@ -149,8 +149,11 @@ def report_to_json(r: ReproductionReport) -> dict:
 
 class _Corpus:
     """Designs, flag graphs and characteristic polynomials shared by the
-    criteria.  verify_spectrum and numeric_spectrum still compute their own
-    char_poly: one pass makes 48 calls on 29 distinct graphs."""
+    criteria.  verify_spectrum and numeric_spectrum call char_poly again on
+    the same Graph instances, which return the polynomial they hold: one
+    pass makes 48 calls on 30 instances and computes 30 polynomials.  That
+    makes _charpolys redundant; it goes when the benchmark's pinned
+    char_poly span count (14 + 9 + 25) is re-derived."""
 
     def __init__(self):
         self.designs = {i: get_design(i) for i in CATALOG_IDS}

@@ -12,6 +12,10 @@ the number of primes times the cost per prime (Dumas, Pernet & Wan 2005),
 and the bound sets the first factor.  No floating point touches any
 verification verdict; spectrum claims carry eigenvalues of the form
 a + b*sqrt(d) and are checked by exact polynomial identity in Z[x].
+
+The polynomial is kept on the Graph instance, so char_poly,
+verify_spectrum, numeric_spectrum and cospectral compute it once per
+instance; a new Graph with equal content computes it again.
 """
 
 from __future__ import annotations
@@ -342,8 +346,12 @@ def char_poly(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial of the adjacency matrix of g.
 
     Above graphs.DENSE_VERTEX_LIMIT vertices, adjacency() raises
-    TooManyVertices before anything is allocated.
+    TooManyVertices before anything is allocated.  The result is kept on g,
+    so a repeat call on the same instance returns it without computing.
     """
+    poly = g._derived.get("char_poly")
+    if poly is not None:
+        return poly
     n = g.n
     if n == 0:
         return IntPolynomial([1])
@@ -366,6 +374,7 @@ def char_poly(g: Graph) -> IntPolynomial:
         raise SelfCheckFailed("char poly has a nonzero trace coefficient")
     if n >= 2 and poly.coefficient(n - 2) != -g.edge_count:
         raise SelfCheckFailed(f"char poly x^(n-2) coefficient is not -{g.edge_count}")
+    g._derived["char_poly"] = poly
     return poly
 
 
@@ -489,11 +498,19 @@ def claim_from_json(obj) -> SpectrumClaim:
             raise ValueError(
                 f"'d' and 'multiplicity' must be integers in {item!r}"
             )
-        ev = AlgebraicEigenvalue(
-            Fraction(str(item.get("a", 0))),
-            Fraction(str(item.get("b", 0))),
-            d,
-        )
+        try:
+            ev = AlgebraicEigenvalue(
+                Fraction(str(item.get("a", 0))),
+                Fraction(str(item.get("b", 0))),
+                d,
+            )
+            ev.approx()  # SpectrumClaim orders entries by this float
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in claim entry {item!r}") from None
+        except OverflowError:
+            raise ValueError(
+                f"value beyond float range in claim entry {item!r}"
+            ) from None
         entries.append((ev, mult))
     return SpectrumClaim(entries)
 

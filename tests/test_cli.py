@@ -298,15 +298,52 @@ def test_non_integer_json_numbers_exit_two(capsys, tmp_path):
     assert obj["error"]["type"] == "format"
 
 
+@pytest.mark.parametrize("entry", [
+    {"a": "1/0", "multiplicity": 1},
+    {"a": "1e400", "multiplicity": 1},
+    {"b": "1/0", "d": 2, "multiplicity": 1},
+    {"b": "1e400", "d": 2, "multiplicity": 1},
+], ids=["a-zero-denominator", "a-beyond-float", "b-zero-denominator",
+        "b-beyond-float"])
+def test_claim_values_that_do_not_parse_or_order_exit_two(capsys, tmp_path, entry):
+    # Fraction("1/0") raises ZeroDivisionError and the claim's float sort
+    # key overflows on 1e400; both are format errors, not refutations
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    claim_path = tmp_path / "claim.json"
+    claim_path.write_text(json.dumps({"entries": [entry]}))
+    code, obj = run_json(capsys, "spectrum", str(graph_path), "--claim",
+                         str(claim_path))
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+    assert "claim entry" in obj["error"]["message"]
+
+
 @pytest.mark.parametrize("command", ["classify", "charpoly"])
 def test_dense_vertex_limit_exits_two(capsys, tmp_path, command):
-    # 27 bytes declaring a million vertices: refused before the n x n
-    # adjacency matrix is allocated
+    # 10,000 vertices, above DENSE_VERTEX_LIMIT but within the graph-file
+    # limit: refused before the n x n adjacency matrix is allocated
     path = tmp_path / "big.json"
-    path.write_text('{"n": 1000000, "edges": []}')
+    path.write_text('{"n": 10000, "edges": []}')
     code, obj = run_json(capsys, command, str(path))
     assert code == 2
     assert obj["error"]["type"] == "TooManyVertices"
+    assert "DENSE_VERTEX_LIMIT" in obj["error"]["message"]
+
+
+def test_graph_file_vertex_limit_exits_two(capsys, tmp_path):
+    # the reader refuses more vertices than graph6 can encode before Graph
+    # allocates one neighbor list per vertex, so a few bytes declaring ten
+    # billion vertices cannot exhaust memory.  The first refused order keeps
+    # this test cheap should the check ever go missing: classify would then
+    # stop at the dense-kernel limit, with the other message
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 258048, "edges": []}))
+    code, obj = run_json(capsys, "classify", str(path))
+    assert code == 2
+    assert obj["error"]["type"] == "TooManyVertices"
+    assert "graph-file limit" in obj["error"]["message"]
+    assert "258047" in obj["error"]["message"]
 
 
 @pytest.mark.parametrize("command, payload, message", [

@@ -168,10 +168,50 @@ def test_catalog_decisions_stay_inside_time_budget(
 ):
     family, did = key.split(":")
     g = (gamma1_graphs if family == "gamma1" else gamma2_graphs)[did].graph
+    # a copy, since an earlier test may have stored the fixture's form
+    g = Graph(g.n, g.edges)
     start = time.perf_counter()
     canonical_form(g)
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"{key} took {elapsed:.1f}s"
+
+
+def test_uncolored_form_is_searched_once_per_instance(monkeypatch):
+    from flagspec import isomorphism
+
+    searches = []
+    real = isomorphism._search
+    monkeypatch.setattr(
+        isomorphism, "_search", lambda g, base: searches.append(g.n) or real(g, base)
+    )
+    g = shuffled(clebsch_graph(), random.Random(1729))
+    form = canonical_form(g)
+    assert len(searches) == 1
+    assert canonical_form(g) is form
+    assert is_isomorphic(g, g)
+    assert len(searches) == 1
+    # a new Graph with equal content searches again, to the same form
+    assert canonical_form(Graph(g.n, g.edges)) == form
+    assert len(searches) == 2
+    # a disconnected graph stores its reassembled form, one search per part
+    two = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    assert canonical_form(two) is canonical_form(two)
+    assert len(searches) == 4
+
+
+def test_colored_forms_are_not_stored():
+    g = cycle_graph(6)
+    plain = canonical_form(g)
+    colored = canonical_form(g, [0] * 6)
+    # one color class: same ordering, but the certificate carries a prefix
+    assert colored.certificate == b"6:" + plain.certificate
+    assert canonical_form(g, [0] * 6) is not colored
+    assert canonical_form(g) is plain
+    # a colored call first does not leave its form for the uncolored one
+    h = cycle_graph(6)
+    canonical_form(h, [0, 1] * 3)
+    assert canonical_form(h) == plain
 
 
 def test_permutation_field_is_inverse_free(gamma2_graphs):

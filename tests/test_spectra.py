@@ -150,6 +150,53 @@ def test_char_poly_empty_and_single():
     assert char_poly(Graph(1, [])).coeffs == (0, 1)
 
 
+def test_char_poly_is_computed_once_per_instance(monkeypatch):
+    primes = []
+    real = spectra._hessenberg_mod
+    monkeypatch.setattr(
+        spectra, "_hessenberg_mod", lambda mat, p: primes.append(p) or real(mat, p)
+    )
+    g = complete_graph(6)
+    poly = char_poly(g)
+    per_poly = len(primes)
+    assert per_poly > 0
+    # every exact path asks the same instance again and gets the stored object
+    assert char_poly(g) is poly
+    assert verify_spectrum(g, SpectrumClaim([(ev(5), 1), (ev(-1), 5)]))
+    assert numeric_spectrum(g, 1e-6)[0][1] == 1
+    assert cospectral(g, g)
+    assert len(primes) == per_poly
+    # a new Graph with equal content computes again
+    fresh = Graph(g.n, g.edges)
+    assert fresh == g
+    assert char_poly(fresh) == poly
+    assert len(primes) == 2 * per_poly
+
+
+def test_report_pass_computes_char_poly_once_per_graph(monkeypatch):
+    from flagspec import reporting
+
+    calls, computed = [], []
+    real_char_poly, real_primes = spectra.char_poly, spectra._modular_primes
+
+    def counting_char_poly(g):
+        calls.append(g)
+        return real_char_poly(g)
+
+    def counting_primes(beyond):
+        # one prime selection per polynomial actually computed
+        computed.append(beyond)
+        return real_primes(beyond)
+
+    monkeypatch.setattr(spectra, "char_poly", counting_char_poly)
+    monkeypatch.setattr(reporting, "char_poly", counting_char_poly)
+    monkeypatch.setattr(spectra, "_modular_primes", counting_primes)
+    reporting.run_reproduction(relabel_rounds=1, seed=1729)
+    # the corpus, verify_spectrum and numeric_spectrum ask 30 graphs 48 times
+    assert len({id(g) for g in calls}) == 30
+    assert (len(calls), len(computed)) == (48, 30)
+
+
 # ---------------------------------------------------------------------------
 # spectrum verification and formulas
 # ---------------------------------------------------------------------------
