@@ -42,7 +42,10 @@ class Graph:
     derived from it: spectra.char_poly and the uncolored
     isomorphism.canonical_form keep theirs in the private _derived dict, so
     asking the same instance again returns the stored (immutable) object.  A
-    new Graph with equal content starts empty and computes afresh.
+    new Graph with equal content starts empty and computes afresh.  The
+    builder of a graph may leave structure there too: line_graph stores
+    the root graph under "line_root", which char_poly reads.  relabel,
+    subgraph and the JSON and graph6 readers build plain graphs.
     """
 
     __slots__ = ("n", "edges", "_neighbors", "_derived")
@@ -133,7 +136,9 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     order); two vertices are adjacent iff the underlying edges share an
     endpoint.  Edges of a simple graph share at most one, so every pair
     of line-graph vertices is produced by exactly one star.  gamma1 is
-    built as this graph of the incidence graph.
+    built as this graph of the incidence graph.  The result keeps g in
+    its _derived["line_root"], from which spectra.char_poly reads the
+    spectrum.
     """
     edge_order = g.edges
     incident = [[] for _ in range(g.n)]
@@ -141,25 +146,31 @@ def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         incident[a].append(i)
         incident[b].append(i)
     pairs = [pair for star in incident for pair in combinations(star, 2)]
-    return Graph(len(edge_order), pairs), edge_order
+    lg = Graph(len(edge_order), pairs)
+    lg._derived["line_root"] = g
+    return lg, edge_order
 
 
 def connected_components(g: Graph) -> list[list[int]]:
-    """Partition of the vertices into components, ordered by minimum vertex."""
-    unseen = set(range(g.n))
+    """Partition of the vertices into components, ordered by minimum vertex.
+
+    Vertices are scanned in order, so each unseen one is the minimum of a
+    new component: O(n + m) in all.
+    """
+    seen = bytearray(g.n)
     parts = []
-    while unseen:
-        root = min(unseen)
-        comp = {root}
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        seen[root] = 1
+        comp = [root]
+        for v in comp:  # grows while it is read: breadth first
             for w in g.neighbors(v):
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        unseen -= comp
-        parts.append(sorted(comp))
+                if not seen[w]:
+                    seen[w] = 1
+                    comp.append(w)
+        comp.sort()
+        parts.append(comp)
     return parts
 
 

@@ -1,17 +1,26 @@
 """Exact adjacency spectra.
 
 char_poly computes the exact integer characteristic polynomial of the
-adjacency matrix: the matrix is reduced to Hessenberg form modulo several
-27-bit primes, the Hessenberg determinant recurrence produces the
-polynomial mod each prime, and the integer coefficients are reconstructed
-by the Chinese remainder theorem.  The primes are the fewest whose product
-exceeds twice a rigorous coefficient bound, which Parseval's identity and
-AM-GM give from the vertex and edge counts alone: every coefficient is at
-most (1 + 2m/n)^(n/2) in absolute value (see _coeff_bound).  The cost is
-the number of primes times the cost per prime (Dumas, Pernet & Wan 2005),
-and the bound sets the first factor.  No floating point touches any
-verification verdict; spectrum claims carry eigenvalues of the form
-a + b*sqrt(d) and are checked by exact polynomial identity in Z[x].
+adjacency matrix by one kernel, _charpoly_matrix: an integer matrix is
+reduced to Hessenberg form modulo several 27-bit primes, the Hessenberg
+determinant recurrence produces the polynomial mod each prime, and the
+integer coefficients are reconstructed by the Chinese remainder theorem.
+The primes are the fewest whose product exceeds twice a rigorous
+coefficient bound.  The cost is the number of primes times the cost per
+prime (Dumas, Pernet & Wan 2005), and the bound sets the first factor.
+
+The kernel has two routes into it.  A graph with n vertices and m edges
+goes in as its adjacency matrix, with the bound (1 + 2m/n)^(n/2) that
+Parseval's identity and AM-GM give (_coeff_bound).  A line graph built by
+graphs.line_graph, whose root has N <= n vertices, goes in as the root's
+N-square signless Laplacian Q, with the bound (1 + 2n/N)^N on det(I + Q);
+chi_L(x) = (x + 2)^(n - N) chi_Q(x + 2) then gives the polynomial exactly
+(_line_charpoly).  gamma1 is such a line graph, so its order-n problem
+becomes one of order v + b.  Both routes end in the same self-checks.
+
+No floating point touches any verification verdict; spectrum claims carry
+eigenvalues of the form a + b*sqrt(d) and are checked by exact polynomial
+identity in Z[x].
 
 The polynomial is kept on the Graph instance, so char_poly,
 verify_spectrum, numeric_spectrum and cospectral compute it once per
@@ -31,7 +40,7 @@ import numpy as np
 
 from .designs import DesignParams
 from .errors import NonIntegralClaim, SelfCheckFailed
-from .graphs import Graph, _json_int
+from .graphs import Graph, _check_dense, _json_int
 from .polynomials import IntPolynomial, _sign_variations, square_free_part, sturm_chain
 
 
@@ -199,11 +208,16 @@ def claim_to_polynomial(c: SpectrumClaim) -> IntPolynomial:
     and by Gauss's lemma a monic product lies in Z[x] exactly when each of
     its monic irreducible factors does, so a factor with a non-integer
     coefficient raises NonIntegralClaim before anything is expanded.
+    Each factor is raised to its multiplicity by square-and-multiply.
     """
     poly = IntPolynomial([1])
     for factor, m in _claim_factors(c):
-        for _ in range(m):
-            poly = poly * factor
+        while m:
+            if m & 1:
+                poly = poly * factor
+            m >>= 1
+            if m:
+                factor = factor * factor
     return poly
 
 
@@ -222,6 +236,12 @@ def _small_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit) if sieve[i])
 
 
+def _amgm_power(n: int, m: int) -> int:
+    """ceil((1 + 2m/n)^n) = ceil((n + 2m)^n / n^n), in integers: by AM-GM
+    the largest product of n non-negative reals whose sum is n + 2m."""
+    return -(-((n + 2 * m) ** n) // n**n)
+
+
 def _coeff_bound(n: int, m: int) -> int:
     """Bound B >= |c| for every char-poly coefficient c of a graph with n
     vertices and m edges: B = ceil(sqrt((1 + 2m/n)^n)).
@@ -232,9 +252,9 @@ def _coeff_bound(n: int, m: int) -> int:
     non-negative reals whose mean is 1 + 2m/n at every t, because tr A = 0
     and tr A^2 = 2m, so by AM-GM it is at most (1 + 2m/n)^n.  Every |c_k|
     is therefore at most the square root of that, computed here in
-    integers as ceil(sqrt(ceil((n + 2m)^n / n^n))).
+    integers as ceil(sqrt(_amgm_power(n, m))).
     """
-    square = -(-((n + 2 * m) ** n) // n**n)
+    square = _amgm_power(n, m)
     root = math.isqrt(square)
     return root if root * root == square else root + 1
 
@@ -342,22 +362,11 @@ def _charpoly_mod(h: np.ndarray, p: int) -> list[int]:
     return polys[n].tolist()
 
 
-def char_poly(g: Graph) -> IntPolynomial:
-    """Exact characteristic polynomial of the adjacency matrix of g.
-
-    Above graphs.DENSE_VERTEX_LIMIT vertices, adjacency() raises
-    TooManyVertices before anything is allocated.  The result is kept on g,
-    so a repeat call on the same instance returns it without computing.
-    """
-    poly = g._derived.get("char_poly")
-    if poly is not None:
-        return poly
-    n = g.n
-    if n == 0:
-        return IntPolynomial([1])
-    adj = g.adjacency()
-    primes = _modular_primes(2 * _coeff_bound(n, g.edge_count))
-    rows = [_charpoly_mod(_hessenberg_mod(adj, p), p) for p in primes]
+def _charpoly_matrix(mat: np.ndarray, bound: int) -> IntPolynomial:
+    """det(xI - mat) for a square integer matrix whose characteristic
+    polynomial has no coefficient above bound in absolute value."""
+    primes = _modular_primes(2 * bound)
+    rows = [_charpoly_mod(_hessenberg_mod(mat, p), p) for p in primes]
     # Chinese remainder: the weight of each prime is 1 mod it and 0 mod the
     # others; each coefficient is taken in (-q/2, q/2]
     q = math.prod(primes)
@@ -366,7 +375,57 @@ def char_poly(g: Graph) -> IntPolynomial:
     for column in zip(*rows):
         c = sum(r * w for r, w in zip(column, weights)) % q
         coeffs.append(c - q if c > q // 2 else c)
-    poly = IntPolynomial(coeffs)
+    return IntPolynomial(coeffs)
+
+
+def _line_charpoly(root: Graph) -> IntPolynomial:
+    """Characteristic polynomial of the line graph of root, which has N
+    vertices and m >= N edges, from its signless Laplacian Q = D + A.
+
+    With B the N x m vertex-edge incidence matrix, B^T B = 2I + A(L) and
+    B B^T = Q, and the two products share their nonzero eigenvalues, so
+    chi_L(x) = (x + 2)^(m - N) chi_Q(x + 2) (Cvetkovic, Rowlinson & Simic
+    2010, section 1.4).  Q is positive semidefinite, so the coefficients of
+    chi_Q are the elementary symmetric functions of its eigenvalues mu_i
+    >= 0 up to sign, and their absolute values sum to prod(1 + mu_i) =
+    det(I + Q).  The 1 + mu_i are N non-negative reals with sum
+    tr(I + Q) = N + 2m, so by AM-GM det(I + Q) <= (1 + 2m/N)^N, which is
+    the bound passed to the kernel.
+    """
+    big_n, m = root.n, root.edge_count
+    q = root.adjacency().astype(np.int64)
+    q[np.diag_indices(big_n)] = q.sum(axis=1)
+    chi_q = _charpoly_matrix(q, _amgm_power(big_n, m))
+    # y^(m - N) chi_Q(y), then the Taylor shift y = x + 2 by Horner steps
+    c = [0] * (m - big_n) + list(chi_q.coeffs)
+    for i in range(m):
+        for j in range(m - 1, i - 1, -1):
+            c[j] += c[j + 1] << 1
+    return IntPolynomial(c)
+
+
+def char_poly(g: Graph) -> IntPolynomial:
+    """Exact characteristic polynomial of the adjacency matrix of g.
+
+    A line graph whose root has at least as many edges as vertices takes
+    its polynomial from the root's signless Laplacian (_line_charpoly);
+    every other graph from its adjacency matrix.  Above
+    graphs.DENSE_VERTEX_LIMIT vertices either route raises TooManyVertices
+    before anything is allocated.  The result is kept on g, so a repeat
+    call on the same instance returns it without computing.
+    """
+    poly = g._derived.get("char_poly")
+    if poly is not None:
+        return poly
+    n = g.n
+    _check_dense(n)
+    if n == 0:
+        return IntPolynomial([1])
+    root = g._derived.get("line_root")
+    if root is not None and root.n <= n:
+        poly = _line_charpoly(root)
+    else:
+        poly = _charpoly_matrix(g.adjacency(), _coeff_bound(n, g.edge_count))
     # free self-checks: monic, trace zero, x^(n-2) coefficient counts edges
     if poly.degree != n or not poly.is_monic:
         raise SelfCheckFailed(f"char poly of order {n} is not monic of degree {n}")
@@ -483,8 +542,34 @@ def claim_to_json(c: SpectrumClaim) -> dict:
     }
 
 
+# Fraction expands a decimal exponent into an exact power of ten, so a few
+# bytes such as "1e1000000000" would build a 415 MB integer; claim values
+# with an exponent beyond this magnitude are refused before parsing.  An
+# eigenvalue a + b*sqrt(d) of a graph is an algebraic integer, so a and b
+# are integers or halves within float range (below 10**309), and none
+# needs an exponent near the bound; 10**1000 is a 3,322-bit integer.
+_MAX_DECIMAL_EXPONENT = 1000
+
+
+def _claim_value(item: dict, key: str) -> Fraction:
+    text = str(item.get(key, 0))
+    _, marker, exponent = text.lower().partition("e")
+    if marker:
+        try:
+            too_large = abs(int(exponent)) > _MAX_DECIMAL_EXPONENT
+        except ValueError:
+            too_large = False  # no exponent: Fraction reports the format
+        if too_large:
+            raise ValueError(
+                f"decimal exponent of {key!r} beyond {_MAX_DECIMAL_EXPONENT} "
+                f"in claim entry {item!r}"
+            )
+    return Fraction(text)
+
+
 def claim_from_json(obj) -> SpectrumClaim:
-    """Parse a claim object; a and b accept integers or strings like "9/2"."""
+    """Parse a claim object; a and b accept integers or strings like "9/2"
+    (decimal exponents up to _MAX_DECIMAL_EXPONENT in magnitude)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "entries" not in obj:
@@ -500,8 +585,8 @@ def claim_from_json(obj) -> SpectrumClaim:
             )
         try:
             ev = AlgebraicEigenvalue(
-                Fraction(str(item.get("a", 0))),
-                Fraction(str(item.get("b", 0))),
+                _claim_value(item, "a"),
+                _claim_value(item, "b"),
                 d,
             )
             ev.approx()  # SpectrumClaim orders entries by this float

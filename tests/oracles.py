@@ -19,10 +19,16 @@ def berkowitz_charpoly(g: Graph) -> list[int]:
 
     Returns ascending coefficients of det(xI - A).
     """
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
+    rows = [[0] * g.n for _ in range(g.n)]
     for u, v in g.edges:
         rows[u][v] = rows[v][u] = 1
+    return berkowitz_matrix_charpoly(rows)
+
+
+def berkowitz_matrix_charpoly(rows) -> list[int]:
+    """Ascending coefficients of det(xI - M) for a square integer matrix
+    given as a list of rows, by the Berkowitz recurrence."""
+    n = len(rows)
     vec = [1]  # descending coefficients, leading 1, for the empty matrix
     for k in range(n):
         a = rows[k][k]

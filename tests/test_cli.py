@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -317,6 +318,37 @@ def test_claim_values_that_do_not_parse_or_order_exit_two(capsys, tmp_path, entr
     assert code == 2
     assert obj["error"]["type"] == "format"
     assert "claim entry" in obj["error"]["message"]
+
+
+@pytest.mark.parametrize("entry", [
+    {"a": "1e1000000000", "multiplicity": 1},
+    {"a": "1e-1000000000", "multiplicity": 1},
+    {"b": "1e1000000000", "d": 2, "multiplicity": 1},
+    {"b": "7.5E-1001", "d": 2, "multiplicity": 1},
+], ids=["a-huge", "a-tiny", "b-huge", "b-tiny"])
+def test_claim_values_with_huge_decimal_exponents_exit_two(capsys, tmp_path, entry):
+    # Fraction would build 10**1000000000 exactly (415 MB) before the
+    # float-range check; the exponent is refused before parsing instead
+    graph_path = tmp_path / "g.json"
+    graph_path.write_text(json.dumps({"n": 2, "edges": [[0, 1]]}))
+    claim_path = tmp_path / "claim.json"
+    claim_path.write_text(json.dumps({"entries": [entry]}))
+    start = time.perf_counter()
+    code, obj = run_json(capsys, "spectrum", str(graph_path), "--claim",
+                         str(claim_path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+    assert "decimal exponent" in obj["error"]["message"]
+
+
+def test_claim_values_at_the_exponent_bound_still_parse():
+    entry = {"a": "-2e0", "b": f"1e-{spectra._MAX_DECIMAL_EXPONENT}", "d": 2,
+             "multiplicity": 1}
+    conjugate = {**entry, "b": f"-1e-{spectra._MAX_DECIMAL_EXPONENT}"}
+    claim = spectra.claim_from_json({"entries": [entry, conjugate]})
+    tiny = Fraction(1, 10**spectra._MAX_DECIMAL_EXPONENT)
+    assert {ev.b for ev, _ in claim.entries} == {tiny, -tiny}
 
 
 @pytest.mark.parametrize("command", ["classify", "charpoly"])

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import networkx as nx
 import numpy as np
@@ -111,10 +112,60 @@ def test_line_graph_small_cases():
     assert lp.edges == ((0, 1), (1, 2))
 
 
+def test_only_line_graph_records_its_root():
+    root = cycle_graph(5)
+    lg, _ = line_graph(root)
+    assert lg._derived["line_root"] is root
+    for copy in (lg.relabel(range(5)), lg.subgraph(range(5)),
+                 graph_from_graph6(graph_to_graph6(lg)),
+                 graph_from_json(graph_to_json(lg))):
+        assert copy == lg
+        assert "line_root" not in copy._derived
+
+
 def test_connected_components_ordering():
     g = Graph(7, [(3, 4), (0, 6), (4, 5)])
     parts = connected_components(g)
     assert parts == [[0, 6], [1], [2], [3, 4, 5]]
+
+
+def _components_by_min_unseen(g: Graph) -> list[list[int]]:
+    """The former partition: one min() over the unseen set per component."""
+    unseen = set(range(g.n))
+    parts = []
+    while unseen:
+        comp, frontier = {min(unseen)}, [min(unseen)]
+        while frontier:
+            v = frontier.pop()
+            for w in g.neighbors(v):
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        unseen -= comp
+        parts.append(sorted(comp))
+    return parts
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_connected_components_match_the_min_unseen_partition(seed):
+    # many small components, isolated vertices and long paths, labels shuffled
+    rng = random.Random(seed)
+    n = 300
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = [(perm[i], perm[i + 1]) for i in range(n - 1) if rng.random() < 0.8]
+    edges += [(perm[rng.randrange(n)], perm[rng.randrange(n)]) for _ in range(20)]
+    g = Graph(n, [(u, v) for u, v in edges if u != v])
+    assert connected_components(g) == _components_by_min_unseen(g)
+
+
+def test_connected_components_of_a_large_edgeless_graph():
+    # one min() over the unseen set per component took 5.4 s here
+    g = Graph(20_000, [])
+    start = time.perf_counter()
+    parts = connected_components(g)
+    assert time.perf_counter() - start < 1.0
+    assert parts == [[v] for v in range(20_000)]
 
 
 def test_girth_values():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from flagspec import polynomials, spectra
 from flagspec.designs import DesignParams
 from flagspec.errors import NonIntegralClaim, SelfCheckFailed
-from flagspec.graphs import Graph, complete_graph, cycle_graph
+from flagspec.graphs import Graph, complete_graph, cycle_graph, line_graph
 from flagspec.polynomials import IntPolynomial
 from flagspec.spectra import (
     AlgebraicEigenvalue,
@@ -30,6 +30,7 @@ from flagspec.spectra import (
 
 from oracles import (
     berkowitz_charpoly,
+    berkowitz_matrix_charpoly,
     fraction_claim_polynomial,
     hessenberg_det_mod,
     hessenberg_mod_reference,
@@ -96,6 +97,17 @@ def test_claim_requires_conjugate_pairs():
     SpectrumClaim([(ev(0, 1, 2), 3), (ev(0, -1, 2), 3)])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 37, 260])
+def test_claim_expansion_by_squaring_equals_the_repeated_product(m):
+    claim = SpectrumClaim([(ev(-2), m), (ev(3, 1, 2), m), (ev(3, -1, 2), m),
+                           (ev(5), 1)])
+    expected = IntPolynomial([1])
+    for factor in (IntPolynomial([2, 1]), IntPolynomial([7, -6, 1])):
+        for _ in range(m):
+            expected = expected * factor
+    assert claim_to_polynomial(claim) == expected * IntPolynomial([-5, 1])
+
+
 def test_claim_to_polynomial():
     c = SpectrumClaim([(ev(1, 1, 2), 1), (ev(1, -1, 2), 1)])
     assert claim_to_polynomial(c) == IntPolynomial([-1, -2, 1])
@@ -132,8 +144,11 @@ def test_char_poly_matches_berkowitz_random(seed):
 
 
 def test_char_poly_matches_berkowitz_catalog(gamma1_graphs):
+    # gamma1 takes the line-graph route; a plain copy of it the adjacency one
     g = gamma1_graphs["fano-7-3-1"].graph
-    assert list(char_poly(g).coeffs) == berkowitz_charpoly(g)
+    oracle = berkowitz_charpoly(g)
+    assert list(char_poly(g).coeffs) == oracle
+    assert list(char_poly(Graph(g.n, g.edges)).coeffs) == oracle
 
 
 def test_char_poly_matches_sympy_once():
@@ -195,6 +210,131 @@ def test_report_pass_computes_char_poly_once_per_graph(monkeypatch):
     # the corpus, verify_spectrum and numeric_spectrum ask 30 graphs 48 times
     assert len({id(g) for g in calls}) == 30
     assert (len(calls), len(computed)) == (48, 30)
+
+
+# ---------------------------------------------------------------------------
+# line graphs: chi_L from the root's signless Laplacian
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(matrix, bound) of every _charpoly_matrix call, and the order of
+    every matrix _hessenberg_mod reduces."""
+    calls, orders = [], []
+    real_kernel, real_hessenberg = spectra._charpoly_matrix, spectra._hessenberg_mod
+
+    def kernel(mat, bound):
+        calls.append((mat.copy(), bound))
+        return real_kernel(mat, bound)
+
+    def hessenberg(mat, p):
+        orders.append(mat.shape[0])
+        return real_hessenberg(mat, p)
+
+    monkeypatch.setattr(spectra, "_charpoly_matrix", kernel)
+    monkeypatch.setattr(spectra, "_hessenberg_mod", hessenberg)
+    return calls, orders
+
+
+def _difference_set_designs():
+    from flagspec.designs import design_from_difference_set
+
+    return [design_from_difference_set(v, base) for v, base in (
+        (13, [0, 1, 3, 9]), (11, [1, 3, 4, 5, 9]), (21, [3, 6, 7, 12, 14]),
+        (15, [0, 1, 2, 4, 5, 8, 10]),
+    )]
+
+
+def test_gamma1_route_equals_the_adjacency_route(catalog_designs, kernel_calls):
+    from flagspec.flag_graphs import gamma1
+
+    calls, orders = kernel_calls
+    designs = list(catalog_designs.values()) + _difference_set_designs()
+    for d in designs:
+        g = gamma1(d).graph
+        del orders[:]
+        route = char_poly(g)
+        assert set(orders) == {d.v + d.b}
+        del orders[:]
+        assert char_poly(Graph(g.n, g.edges)) == route
+        assert set(orders) == {g.n}
+    assert len(calls) == 2 * len(designs)
+
+
+def _signless_laplacian(root: Graph) -> list[list[int]]:
+    rows = [[0] * root.n for _ in range(root.n)]
+    for u, v in root.edges:
+        rows[u][v] = rows[v][u] = 1
+        rows[u][u] += 1
+        rows[v][v] += 1
+    return rows
+
+
+def _shuffled(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def _line_graph_roots():
+    rng = random.Random(7)
+    star = Graph(6, [(0, v) for v in range(1, 6)])
+    two_parts = Graph(11, list(cycle_graph(5).edges)
+                      + [(u + 5, v + 5) for u, v in complete_graph(4).edges])
+    roots = {
+        "star": star,                      # m < N: adjacency route
+        "cycle": cycle_graph(9),           # m = N
+        "path": Graph(6, [(i, i + 1) for i in range(5)]),  # m = N - 1
+        "isolated": Graph(8, list(complete_graph(5).edges)),  # 3 isolated
+        "two-components": two_parts,
+        "K5": complete_graph(5),
+    }
+    for i, (n, p) in enumerate([(7, 0.5), (8, 0.4), (9, 0.6), (10, 0.35),
+                                (12, 0.3), (6, 0.9)]):
+        roots[f"random-{i}"] = _shuffled(random_graph(n, p, 40 + i), rng)
+    return roots
+
+
+LINE_GRAPH_ROOTS = _line_graph_roots()
+
+
+@pytest.mark.parametrize("name", LINE_GRAPH_ROOTS)
+def test_line_graph_route_matches_berkowitz(name, kernel_calls):
+    calls, orders = kernel_calls
+    root = LINE_GRAPH_ROOTS[name]
+    lg, _ = line_graph(root)
+    assert list(char_poly(lg).coeffs) == berkowitz_charpoly(lg)
+    ((mat, bound),) = calls
+    if root.edge_count < root.n:
+        assert set(orders) == {lg.n}
+        return
+    assert set(orders) == {root.n}
+    q = _signless_laplacian(root)
+    assert mat.tolist() == q
+    # det(I + Q) bounds the sum of the |coefficients| of chi_Q, so each one
+    assert bound >= sum(abs(c) for c in berkowitz_matrix_charpoly(q))
+
+
+def test_relabeled_line_graph_takes_the_adjacency_route(kernel_calls):
+    _, orders = kernel_calls
+    lg, _ = line_graph(complete_graph(6))
+    copy = _shuffled(lg, random.Random(3))
+    copy_poly = char_poly(copy)
+    assert set(orders) == {15}
+    del orders[:]
+    assert char_poly(lg) == copy_poly
+    assert set(orders) == {6}
+
+
+def test_line_graph_route_keeps_the_dense_vertex_limit(monkeypatch):
+    from flagspec import graphs
+    from flagspec.errors import TooManyVertices
+
+    # the root of L(K7) has 7 vertices, L(K7) itself 21
+    monkeypatch.setattr(graphs, "DENSE_VERTEX_LIMIT", 20)
+    lg, _ = graphs.line_graph(complete_graph(7))
+    with pytest.raises(TooManyVertices):
+        char_poly(lg)
 
 
 # ---------------------------------------------------------------------------
