@@ -12,11 +12,11 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import combinations
 from pathlib import Path
 
 from .designs import Design, DesignParams, design_from_json, validate_design
 from .errors import SelfCheckFailed, UnknownCatalogId, UnknownGraphName
-from .flag_graphs import gamma2
 from .graphs import Graph, cycle_graph, degree_profile, girth
 from .regularity import classify
 
@@ -85,9 +85,15 @@ def reference_graph(name: str) -> Graph:
     if name == "clebsch":
         return clebsch_graph()
     if name == "coxeter":
-        g = gamma2(get_design("biplane-7-4-2")).graph
+        # the 28 3-subsets of Z7 that are not lines {i, i+1, i+3} of the
+        # Fano plane, adjacent when disjoint
+        lines = [{i, (i + 1) % 7, (i + 3) % 7} for i in range(7)]
+        triples = [set(t) for t in combinations(range(7), 3) if set(t) not in lines]
+        g = Graph(len(triples), [
+            (i, j) for (i, s), (j, t) in combinations(enumerate(triples), 2) if not s & t
+        ])
         if g.n != 28 or degree_profile(g) != {3} or girth(g) != 7:
-            raise SelfCheckFailed("gamma2 of the (7,4,2) biplane is not Coxeter")
+            raise SelfCheckFailed("Coxeter graph is not cubic of order 28 and girth 7")
         return g
     if name == "cycle-4":
         return cycle_graph(4)

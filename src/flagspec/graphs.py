@@ -312,11 +312,11 @@ def graph_from_graph6(s: str | bytes) -> Graph:
             raise ValueError("bad extended graph6 header")
         n = ((data[1] - 63) << 12) | ((data[2] - 63) << 6) | (data[3] - 63)
         body = data[4:]
-    else:
+    elif 63 <= data[0] <= 125:
         n = data[0] - 63
         body = data[1:]
-    if n < 0:
-        raise ValueError("bad graph6 header byte")
+    else:
+        raise ValueError(f"bad graph6 header byte {data[0]}")
     nbits = n * (n - 1) // 2
     if len(body) != (nbits + 5) // 6:
         raise ValueError(

@@ -24,9 +24,10 @@ isomorphism"):
   distinct certificate instead, which finds more automorphisms at the
   cost of one stored certificate per distinct leaf.
 * orbit pruning: the automorphism fixes the path to each of the j + 1
-  nodes left on the stack and goes to each of them; at a node, a
-  candidate that one of its automorphisms maps onto an earlier candidate
-  is not branched on.
+  nodes left on the stack and goes to each of them.  A node keeps only
+  the least vertex of each orbit of the automorphisms it holds; its
+  candidates ascend, so one that is not the least of its orbit is the
+  image of an earlier candidate and is not branched on.
 
 Both skip only leaves that come later in depth-first order than a leaf
 with the same certificate, so neither changes the certificate or the
@@ -86,14 +87,15 @@ def _color_weights(n: int, max_degree: int) -> np.ndarray:
 class _Node:
     """A refined partition of the search tree and its branching state.
 
-    The candidates are the first largest cell T.  A candidate is skipped
-    when an automorphism in `gens` maps it onto a candidate already
-    branched on.  The search hands a node every automorphism it finds
-    while the node stays on the stack after the jump-back; each fixes every
-    vertex individualized on the path to the node.  Orbits are kept as the
-    least vertex of each orbit, merged by min-label propagation.  When each
-    vertex of T has 0 or |T| - 1 neighbors in T and every other vertex 0 or
-    |T|, every permutation of T that fixes the rest is such an
+    The candidates are the first largest cell T, in ascending order, and
+    `last` is the one branched on last.  The search hands a node every
+    automorphism it finds while the node stays on the stack after the
+    jump-back; each fixes the path to the node, so it maps T onto itself.
+    `orbit` labels each vertex with the least vertex of its orbit under
+    them, and a candidate w is skipped exactly when orbit[w] != w: the
+    least of its orbit is then an earlier candidate, branched on.  When
+    each vertex of T has 0 or |T| - 1 neighbors in T and every other vertex
+    0 or |T|, every permutation of T that fixes the rest is such an
     automorphism, so the node is `whole`: its one child individualizes all
     of T at once, in member order, and its first member stands for it.
     """
@@ -106,8 +108,7 @@ class _Node:
         self.whole = bool(((hits == 0) | (hits == len(self.cell) - inside)).all())
         self.members = self.cell[: 1 if self.whole else None].tolist()
         self.next = 0
-        self.branched: list[int] = []
-        self.gens: list[np.ndarray] = []
+        self.last = -1
         self.orbit = np.arange(len(cols))
 
     def pick(self) -> int | None:
@@ -115,29 +116,23 @@ class _Node:
         while self.next < len(self.members):
             w = self.members[self.next]
             self.next += 1
-            if self.gens and self.orbit[w] in self.orbit[self.branched]:
-                continue
-            self.branched.append(w)
-            return w
+            if self.orbit[w] == w:
+                self.last = w
+                return w
         return None
 
     def merge(self, gen: np.ndarray):
         """Add an automorphism that fixes the path to this node."""
         if self.next == len(self.members):
             return  # no candidate left to prune
-        self.gens.append(gen)
-        # every label stays a vertex of its own orbit and never exceeds
-        # its vertex, so the fixed point is the least vertex of each orbit
-        # of the group these generators span
+        # union-find on the orbits: hook the larger root of each pair
+        # (root(v), root(gen[v])) onto the smaller, then compress, so every
+        # root stays the least vertex of its orbit
         lab = self.orbit
-        while True:
-            nxt = lab
-            for p in self.gens:
-                nxt = np.minimum(nxt, nxt[p])
-            nxt = nxt[nxt]
-            if np.array_equal(nxt, lab):
-                break
-            lab = nxt
+        while not np.array_equal(lab, lab[gen]):
+            np.minimum.at(lab, np.maximum(lab, lab[gen]), np.minimum(lab, lab[gen]))
+            while not np.array_equal(lab, lab[lab]):
+                lab = lab[lab]
         self.orbit = lab
 
 
@@ -209,7 +204,7 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
         inverse[leaves[cert]] = np.arange(n)
         gen = inverse[cols]
         j = 0
-        while gen[stack[j].branched[-1]] == stack[j].branched[-1]:
+        while gen[stack[j].last] == stack[j].last:
             j += 1
         del stack[j + 1:]
         for kept in stack:

@@ -501,9 +501,11 @@ def formula_spectrum_gamma1(p: DesignParams) -> SpectrumClaim:
 def numeric_spectrum(g: Graph, tolerance: float) -> list[tuple[float, int]]:
     """Floating-point eigenvalues clustered within tolerance, descending.
 
-    Every cluster center is certified to lie within tolerance of an exact
-    root of char_poly(g) by a Sturm count on the square-free part; the
-    exact path stays authoritative.
+    Every cluster center is certified to lie within tolerance of its own
+    exact root of char_poly(g), distinct from those of the other clusters,
+    by a Sturm count on the square-free part; the exact path stays
+    authoritative.  A tolerance too fine for float64 to resolve is refused
+    with ValueError, a failed certification above that with SelfCheckFailed.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be a positive finite number")
@@ -519,13 +521,32 @@ def numeric_spectrum(g: Graph, tolerance: float) -> list[tuple[float, int]]:
             clusters.append([x])
     chain = sturm_chain(square_free_part(char_poly(g)))
     out = []
+    above = None  # the low end of the interval of the cluster above
     for cl in reversed(clusters):
         center = sum(cl) / len(cl)
         lo, hi = Fraction(center - tolerance), Fraction(center + tolerance)
-        at_lo = _sign_variations(chain, lo)
-        if chain[0].evaluate(lo) != 0 and at_lo == _sign_variations(chain, hi):
-            raise SelfCheckFailed(f"cluster at {center} matches no exact eigenvalue")
+        # count roots only where the cluster above does not reach, so that
+        # no two clusters lean on one exact eigenvalue
+        shared = above is not None and above <= hi
+        if shared:
+            hi = above
+        found = (
+            _sign_variations(chain, lo) - _sign_variations(chain, hi)
+            + (chain[0].evaluate(lo) == 0) - (shared and chain[0].evaluate(hi) == 0)
+        )
+        if not found:
+            # eigvalsh errs by up to about n * eps * ||A||_2 per eigenvalue
+            # (LAPACK Users' Guide, section 4.7), eps = 2**-52, and ||A||_2 is
+            # at most the largest degree: two copies of one eigenvalue can
+            # lie twice that apart, so below this floor clusters may split them
+            floor = 2 * g.n * max(map(g.degree, range(g.n))) * 2.0**-52
+            message = f"cluster at {center} matches no exact eigenvalue of its own"
+            if tolerance < floor:
+                raise ValueError(f"tolerance {tolerance} is below {floor:.3g}, the "
+                                 f"float64 eigenvalue error floor: {message}")
+            raise SelfCheckFailed(message)
         out.append((center, len(cl)))
+        above = lo
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 
+import networkx as nx
 import pytest
 
 from flagspec import catalog
@@ -13,6 +14,7 @@ from flagspec.catalog import (
 )
 from flagspec.designs import design_to_json, validate_design
 from flagspec.errors import SelfCheckFailed, UnknownCatalogId, UnknownGraphName
+from flagspec.flag_graphs import gamma2
 from flagspec.graphs import cycle_graph, girth
 from flagspec.regularity import RegularityProfile, classify
 
@@ -65,6 +67,13 @@ def test_coxeter_reference():
     assert g.n == 28
     assert all(g.degree(v) == 3 for v in range(28))
     assert girth(g) == 7
+    # distance-regular with the Coxeter graph's intersection array, and
+    # built on its own, so criterion 5 compares two different labelings
+    h = gamma2(get_design("biplane-7-4-2")).graph
+    for graph in (g, h):
+        array = nx.intersection_array(nx.Graph(list(graph.edges)))
+        assert array == ([3, 2, 2, 1], [1, 1, 1, 2])
+    assert g != h
 
 
 def test_reference_checks_raise(monkeypatch):

@@ -281,6 +281,19 @@ def test_numeric_spectrum_rejects_non_finite_tolerance(capsys, tmp_path, toleran
                             "tolerance must be a positive finite number"}
 
 
+def test_numeric_spectrum_below_the_float64_floor_exits_two(capsys, tmp_path):
+    # a too-fine tolerance is an input error, not a failed self-check
+    code, out = run(capsys, "gamma1", "catalog:biplane-7-4-2", "--format",
+                    "graph6")
+    path = tmp_path / "g742.g6"
+    path.write_text(out)
+    code, obj = run_json(capsys, "spectrum", str(path), "--numeric",
+                         "--tolerance", "1e-15")
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+    assert "eigenvalue error floor" in obj["error"]["message"]
+
+
 def test_non_integer_json_numbers_exit_two(capsys, tmp_path):
     graph_path = tmp_path / "g.json"
     graph_path.write_text(json.dumps({"n": 3, "edges": [[0, 1.9]]}))
@@ -376,6 +389,16 @@ def test_graph_file_vertex_limit_exits_two(capsys, tmp_path):
     assert obj["error"]["type"] == "TooManyVertices"
     assert "graph-file limit" in obj["error"]["message"]
     assert "258047" in obj["error"]["message"]
+
+
+def test_graph6_header_beyond_one_byte_range_exits_two(capsys, tmp_path):
+    # header byte 127 followed by the body of a 64-vertex graph
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\x7f" + b"?" * 336)
+    code, obj = run_json(capsys, "components", str(path))
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+    assert "header byte 127" in obj["error"]["message"]
 
 
 @pytest.mark.parametrize("command, payload, message", [

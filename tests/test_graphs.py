@@ -234,6 +234,12 @@ def test_graph6_rejects_out_of_range_bytes_and_padding():
     assert graph_from_graph6("A_") == complete_graph(2)
     with pytest.raises(ValueError, match="padding"):
         graph_from_graph6("A" + chr(63 + 0b100001))
+    # a one-byte header is 63..125 (n = 0..62); 126 starts the long form,
+    # and 127..255 would otherwise read as n = 64..192
+    assert graph_from_graph6(chr(125) + "?" * 316).n == 62
+    for header in (127, 200, 255):
+        with pytest.raises(ValueError, match="header byte"):
+            graph_from_graph6(bytes([header]) + b"?" * 336)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)

@@ -21,6 +21,7 @@ from flagspec.graphs import (
 )
 from flagspec.isomorphism import (
     _color_weights,
+    _Node,
     canonical_form,
     design_isomorphic,
     is_isomorphic,
@@ -442,6 +443,52 @@ def test_color_weight_sums_are_exact_at_high_degree():
     for leaves in (weight[1:], weight[:0:-1], rng.permutation(weight[1:])):
         assert np.bincount(hub, weights=leaves)[0] == exact
     assert _color_weights(3, 0).max() < 2**53
+
+
+def _random_permutation(n, rng):
+    """A permutation of range(n) made of cycles of mixed lengths on a
+    random subset of the points."""
+    perm = list(range(n))
+    points = rng.sample(range(n), rng.randint(0, n))
+    i = 0
+    while i < len(points):
+        cycle = points[i:i + rng.choice((1, 2, 2, 3, 4, 5, 7))]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a] = b
+        i += len(cycle)
+    return np.array(perm, dtype=np.int64)
+
+
+def _least_in_orbit(n, gens):
+    """The least vertex of each orbit of the group the permutations
+    generate, by a search over the orbit closure."""
+    label = [-1] * n
+    for v in range(n):
+        if label[v] < 0:
+            label[v], todo = v, [v]
+            while todo:
+                u = todo.pop()
+                for p in gens:
+                    if label[p[u]] < 0:
+                        label[p[u]] = v
+                        todo.append(int(p[u]))
+    return label
+
+
+def test_node_merge_keeps_the_least_vertex_of_each_orbit():
+    # one cell and no edges: the node's one candidate stays unpicked, so
+    # every merge folds its generator in.  A merge that propagates minima
+    # along the new generator only, losing the links between the earlier
+    # orbits, fails here
+    rng = random.Random(1729)
+    empty = np.zeros(0, dtype=np.int64)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        gens = [_random_permutation(n, rng) for _ in range(rng.randint(1, 8))]
+        node = _Node(np.zeros(n, dtype=np.int64), 1, empty, empty)
+        for i, gen in enumerate(gens):
+            node.merge(gen)
+            assert node.orbit.tolist() == _least_in_orbit(n, gens[: i + 1])
 
 
 def test_search_depth_is_not_bounded_by_the_recursion_limit():

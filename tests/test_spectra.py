@@ -432,6 +432,24 @@ def test_numeric_spectrum_builds_one_sturm_chain(monkeypatch):
     assert len(calls) == 1
 
 
+def test_numeric_spectrum_refuses_a_tolerance_below_the_float64_floor(gamma1_graphs):
+    # at 1e-15 eigvalsh splits gamma1(4,3,2)'s four distinct eigenvalues
+    # into six clusters, [1, 2, 1, 2, 1, 5], which were all certified
+    g = gamma1_graphs["biplane-4-3-2"].graph
+    with pytest.raises(ValueError, match="below 2.13e-14"):
+        numeric_spectrum(g, 1e-15)
+    assert [m for _, m in numeric_spectrum(g, 1e-9)] == [1, 3, 3, 5]
+
+
+def test_numeric_spectrum_two_clusters_cannot_share_an_eigenvalue(monkeypatch):
+    # both clusters lie within tolerance of -1, the only eigenvalue near
+    # them; above the floor that is a failed self-check
+    split = np.array([-1 - 6e-10, -1 + 6e-10, -1 + 6e-10, 3.0])
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", lambda a: split)
+    with pytest.raises(SelfCheckFailed, match="of its own"):
+        numeric_spectrum(complete_graph(4), 1e-9)
+
+
 def test_numeric_spectrum_rejects_bad_tolerance():
     for tolerance in (0.0, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="positive finite"):
