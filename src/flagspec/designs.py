@@ -242,4 +242,7 @@ def design_from_json(obj) -> Design:
     for blk in blocks:
         if not isinstance(blk, list) or not all(_json_int(p) for p in blk):
             raise ValueError(f"bad block entry {blk!r}")
-    return Design(v, blocks, bool(obj.get("allow_repeated_blocks", False)))
+    repeated = obj.get("allow_repeated_blocks", False)
+    if not isinstance(repeated, bool):
+        raise ValueError("'allow_repeated_blocks' must be true or false")
+    return Design(v, blocks, repeated)

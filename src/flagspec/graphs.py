@@ -90,12 +90,15 @@ class Graph:
         return Graph(self.n, [(perm[i], perm[j]) for i, j in self.edges])
 
     def subgraph(self, vertices) -> "Graph":
-        """Induced subgraph; vertex i of the result is sorted(vertices)[i]."""
+        """Induced subgraph; vertex i of the result is sorted(vertices)[i].
+        Reads only the kept vertices' neighbor lists; a vertex outside
+        0..n-1, or a repeated one, raises ValueError."""
         vs = sorted(vertices)
         pos = {v: i for i, v in enumerate(vs)}
-        edges = [
-            (pos[i], pos[j]) for i, j in self.edges if i in pos and j in pos
-        ]
+        if len(pos) != len(vs) or (vs and not 0 <= vs[0] <= vs[-1] < self.n):
+            raise ValueError(f"vertices must be distinct and in 0..{self.n - 1}")
+        nbrs = self._neighbors
+        edges = [(pos[i], pos[j]) for i in vs for j in nbrs[i] if i < j and j in pos]
         return Graph(len(vs), edges)
 
     def adjacency(self) -> np.ndarray:

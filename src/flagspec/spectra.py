@@ -5,16 +5,15 @@ adjacency matrix by one kernel, _charpoly_matrix: an integer matrix is
 reduced to Hessenberg form modulo several 27-bit primes, the Hessenberg
 determinant recurrence produces the polynomial mod each prime, and the
 integer coefficients are reconstructed by the Chinese remainder theorem.
-The primes are the fewest whose product exceeds twice a rigorous
-coefficient bound.  The cost is the number of primes times the cost per
-prime (Dumas, Pernet & Wan 2005), and the bound sets the first factor.
+The primes are the fewest whose product exceeds twice one coefficient
+bound, which the kernel reads off the matrix it reduces (_coeff_bound).
+The cost is the number of primes times the cost per prime (Dumas, Pernet
+& Wan 2005), and the bound sets the first factor.
 
-The kernel has two routes into it.  A graph with n vertices and m edges
-goes in as its adjacency matrix, with the bound (1 + 2m/n)^(n/2) that
-Parseval's identity and AM-GM give (_coeff_bound).  A line graph built by
-graphs.line_graph, whose root has N <= n vertices, goes in as the root's
-N-square signless Laplacian Q, with the bound (1 + 2n/N)^N on det(I + Q);
-chi_L(x) = (x + 2)^(n - N) chi_Q(x + 2) then gives the polynomial exactly
+A graph goes in as its adjacency matrix.  A line graph built by
+graphs.line_graph, whose root has N <= n vertices and m edges, goes in as
+Q - 2I, with Q the root's N-square signless Laplacian: the kernel returns
+chi_Q(x + 2), and chi_L(x) = (x + 2)^(m - N) chi_Q(x + 2)
 (_line_charpoly).  gamma1 is such a line graph, so its order-n problem
 becomes one of order v + b.  Both routes end in the same self-checks.
 
@@ -236,25 +235,28 @@ def _small_primes(limit: int) -> tuple[int, ...]:
     return tuple(i for i in range(limit) if sieve[i])
 
 
-def _amgm_power(n: int, m: int) -> int:
-    """ceil((1 + 2m/n)^n) = ceil((n + 2m)^n / n^n), in integers: by AM-GM
-    the largest product of n non-negative reals whose sum is n + 2m."""
-    return -(-((n + 2 * m) ** n) // n**n)
-
-
-def _coeff_bound(n: int, m: int) -> int:
-    """Bound B >= |c| for every char-poly coefficient c of a graph with n
-    vertices and m edges: B = ceil(sqrt((1 + 2m/n)^n)).
+def _coeff_bound(mat: np.ndarray) -> int:
+    """Bound B >= |c| for every coefficient c of det(xI - M), for a
+    symmetric integer N x N matrix M: B = ceil(sqrt((1 + s/N)^N)) with
+    s = 2|tr M| + tr M^2, and tr M^2 the sum of the squared entries.
 
     By Parseval on the unit circle, the sum of c_k^2 over all coefficients
-    of chi(x) = prod_j (x - lambda_j) is the mean over t of |chi(e^it)|^2 =
-    prod_j (1 - 2 lambda_j cos t + lambda_j^2).  That is a product of n
-    non-negative reals whose mean is 1 + 2m/n at every t, because tr A = 0
-    and tr A^2 = 2m, so by AM-GM it is at most (1 + 2m/n)^n.  Every |c_k|
-    is therefore at most the square root of that, computed here in
-    integers as ceil(sqrt(_amgm_power(n, m))).
+    of chi(x) = prod_j (x - nu_j) is the mean over t of |chi(e^it)|^2 =
+    prod_j (1 - 2 nu_j cos t + nu_j^2), with the nu_j real.  That is a
+    product of N non-negative reals whose mean is at most 1 + s/N at every
+    t, so by AM-GM it is at most (1 + s/N)^N, and every |c_k| at most the
+    square root of that.  For an adjacency matrix, tr A = 0 and tr A^2 is
+    twice the edge count.
+
+    The sum of squares is accumulated in int64, without an int64 copy of
+    M: every matrix here has entries below 2**13 in magnitude (a degree is
+    below graphs.DENSE_VERTEX_LIMIT) and at most 2**26 of them, so it stays
+    below 2**52.
     """
-    square = _amgm_power(n, m)
+    big_n = mat.shape[0]
+    sum_squares = int(np.einsum("ij,ij->", mat, mat, dtype=np.int64))
+    total = big_n + 2 * abs(int(np.trace(mat, dtype=np.int64))) + sum_squares
+    square = -(-(total**big_n) // big_n**big_n)
     root = math.isqrt(square)
     return root if root * root == square else root + 1
 
@@ -362,10 +364,10 @@ def _charpoly_mod(h: np.ndarray, p: int) -> list[int]:
     return polys[n].tolist()
 
 
-def _charpoly_matrix(mat: np.ndarray, bound: int) -> IntPolynomial:
-    """det(xI - mat) for a square integer matrix whose characteristic
-    polynomial has no coefficient above bound in absolute value."""
-    primes = _modular_primes(2 * bound)
+def _charpoly_matrix(mat: np.ndarray) -> IntPolynomial:
+    """det(xI - mat) for a symmetric integer matrix, over the primes that
+    _coeff_bound(mat) calls for."""
+    primes = _modular_primes(2 * _coeff_bound(mat))
     rows = [_charpoly_mod(_hessenberg_mod(mat, p), p) for p in primes]
     # Chinese remainder: the weight of each prime is 1 mod it and 0 mod the
     # others; each coefficient is taken in (-q/2, q/2]
@@ -385,23 +387,14 @@ def _line_charpoly(root: Graph) -> IntPolynomial:
     With B the N x m vertex-edge incidence matrix, B^T B = 2I + A(L) and
     B B^T = Q, and the two products share their nonzero eigenvalues, so
     chi_L(x) = (x + 2)^(m - N) chi_Q(x + 2) (Cvetkovic, Rowlinson & Simic
-    2010, section 1.4).  Q is positive semidefinite, so the coefficients of
-    chi_Q are the elementary symmetric functions of its eigenvalues mu_i
-    >= 0 up to sign, and their absolute values sum to prod(1 + mu_i) =
-    det(I + Q).  The 1 + mu_i are N non-negative reals with sum
-    tr(I + Q) = N + 2m, so by AM-GM det(I + Q) <= (1 + 2m/N)^N, which is
-    the bound passed to the kernel.
+    2010, section 1.4).  chi_Q(x + 2) is det(xI - (Q - 2I)), which the
+    kernel returns; the diagonal entries deg - 2 may be negative.
     """
-    big_n, m = root.n, root.edge_count
+    k = root.edge_count - root.n
     q = root.adjacency().astype(np.int64)
-    q[np.diag_indices(big_n)] = q.sum(axis=1)
-    chi_q = _charpoly_matrix(q, _amgm_power(big_n, m))
-    # y^(m - N) chi_Q(y), then the Taylor shift y = x + 2 by Horner steps
-    c = [0] * (m - big_n) + list(chi_q.coeffs)
-    for i in range(m):
-        for j in range(m - 1, i - 1, -1):
-            c[j] += c[j + 1] << 1
-    return IntPolynomial(c)
+    q[np.diag_indices(root.n)] = q.sum(axis=1) - 2
+    power = IntPolynomial([math.comb(k, i) << (k - i) for i in range(k + 1)])
+    return power * _charpoly_matrix(q)
 
 
 def char_poly(g: Graph) -> IntPolynomial:
@@ -425,7 +418,7 @@ def char_poly(g: Graph) -> IntPolynomial:
     if root is not None and root.n <= n:
         poly = _line_charpoly(root)
     else:
-        poly = _charpoly_matrix(g.adjacency(), _coeff_bound(n, g.edge_count))
+        poly = _charpoly_matrix(g.adjacency())
     # free self-checks: monic, trace zero, x^(n-2) coefficient counts edges
     if poly.degree != n or not poly.is_monic:
         raise SelfCheckFailed(f"char poly of order {n} is not monic of degree {n}")

@@ -60,6 +60,23 @@ def test_validate_rejects_bad_design(capsys, tmp_path):
     assert obj["error"]["type"] == "PairCountMismatch"
 
 
+@pytest.mark.parametrize("flag, code, error", [
+    ("false", 2, "format"), (False, 2, "RepeatedBlock"), (True, 0, None),
+], ids=["string", "false", "true"])
+def test_validate_allow_repeated_blocks_takes_only_a_boolean(capsys, tmp_path,
+                                                             flag, code, error):
+    _, fano = run_json(capsys, "catalog", "show", "fano-7-3-1")
+    path = tmp_path / "doubled.json"
+    path.write_text(json.dumps({"v": 7, "blocks": fano["design"]["blocks"] * 2,
+                                "allow_repeated_blocks": flag}))
+    got, obj = run_json(capsys, "validate", str(path))
+    assert got == code
+    if error:
+        assert obj["error"]["type"] == error
+    else:
+        assert (obj["b"], obj["r"], obj["lambda"]) == (14, 6, 2)
+
+
 def test_missing_file_is_not_a_validation_error(capsys):
     code, obj = run_json(capsys, "validate", "/no/such/file.json")
     assert code == 3

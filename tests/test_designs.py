@@ -288,6 +288,18 @@ def test_design_json_round_trip():
     assert again == d
 
 
+@pytest.mark.parametrize("flag", ["false", 1, 0, None, [], {}],
+                         ids=["string", "one", "zero", "null", "list", "object"])
+def test_design_json_allow_repeated_blocks_must_be_a_boolean(flag):
+    # bool("false") is True: only a JSON boolean may allow repeated blocks
+    with pytest.raises(ValueError, match="allow_repeated_blocks"):
+        design_from_json({"v": 7, "blocks": FANO_BLOCKS * 2,
+                          "allow_repeated_blocks": flag})
+    d = design_from_json({"v": 7, "blocks": FANO_BLOCKS * 2,
+                          "allow_repeated_blocks": True})
+    assert validate_design(d).as_tuple() == (7, 14, 6, 3, 2)
+
+
 def test_design_json_rejects_malformed_objects():
     with pytest.raises(ValueError):
         design_from_json({"v": 7})

@@ -218,14 +218,14 @@ def test_report_pass_computes_char_poly_once_per_graph(monkeypatch):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(matrix, bound) of every _charpoly_matrix call, and the order of
-    every matrix _hessenberg_mod reduces."""
+    """The matrix of every _charpoly_matrix call, and the order of every
+    matrix _hessenberg_mod reduces."""
     calls, orders = [], []
     real_kernel, real_hessenberg = spectra._charpoly_matrix, spectra._hessenberg_mod
 
-    def kernel(mat, bound):
-        calls.append((mat.copy(), bound))
-        return real_kernel(mat, bound)
+    def kernel(mat):
+        calls.append(mat.copy())
+        return real_kernel(mat)
 
     def hessenberg(mat, p):
         orders.append(mat.shape[0])
@@ -261,12 +261,13 @@ def test_gamma1_route_equals_the_adjacency_route(catalog_designs, kernel_calls):
     assert len(calls) == 2 * len(designs)
 
 
-def _signless_laplacian(root: Graph) -> list[list[int]]:
+def _shifted_signless_laplacian(root: Graph) -> list[list[int]]:
+    """Q - 2I, with Q = D + A the signless Laplacian of root."""
     rows = [[0] * root.n for _ in range(root.n)]
     for u, v in root.edges:
         rows[u][v] = rows[v][u] = 1
-        rows[u][u] += 1
-        rows[v][v] += 1
+    for u in range(root.n):
+        rows[u][u] = root.degree(u) - 2
     return rows
 
 
@@ -304,15 +305,16 @@ def test_line_graph_route_matches_berkowitz(name, kernel_calls):
     root = LINE_GRAPH_ROOTS[name]
     lg, _ = line_graph(root)
     assert list(char_poly(lg).coeffs) == berkowitz_charpoly(lg)
-    ((mat, bound),) = calls
+    (mat,) = calls
     if root.edge_count < root.n:
         assert set(orders) == {lg.n}
         return
     assert set(orders) == {root.n}
-    q = _signless_laplacian(root)
-    assert mat.tolist() == q
-    # det(I + Q) bounds the sum of the |coefficients| of chi_Q, so each one
-    assert bound >= sum(abs(c) for c in berkowitz_matrix_charpoly(q))
+    shifted = _shifted_signless_laplacian(root)
+    assert mat.tolist() == shifted
+    # the kernel returns chi_Q(x + 2), bounded like any symmetric matrix
+    bound = spectra._coeff_bound(mat)
+    assert bound * bound >= sum(c * c for c in berkowitz_matrix_charpoly(shifted))
 
 
 def test_relabeled_line_graph_takes_the_adjacency_route(kernel_calls):
@@ -571,16 +573,58 @@ def test_char_poly_matches_berkowitz_over_several_primes(name):
     g = MULTI_PRIME_GRAPHS[name]
     oracle = berkowitz_charpoly(g)
     assert list(char_poly(g).coeffs) == oracle
-    bound = spectra._coeff_bound(g.n, g.edge_count)
+    bound = spectra._coeff_bound(g.adjacency())
     assert bound >= max(abs(c) for c in oracle)
     assert len(spectra._modular_primes(2 * bound)) >= 2
 
 
+def _circulant(n: int, degree: int) -> np.ndarray:
+    """Adjacency matrix of the degree-regular circulant graph on Z_n."""
+    a = np.zeros((n, n), dtype=np.uint8)
+    for i in range(n):
+        for step in range(1, degree // 2 + 1):
+            a[i, (i + step) % n] = a[(i + step) % n, i] = 1
+    return a
+
+
 @pytest.mark.parametrize("n, m, primes", [(96, 480, 7), (333, 2664, 26)])
 def test_coeff_bound_prime_counts(n, m, primes):
-    # gamma1 of the (16,6,2) and (37,9,2) biplanes: 10- and 16-regular
-    bound = spectra._coeff_bound(n, m)
+    # the bound of an adjacency matrix reads only n and m, so these
+    # circulants take the primes of the adjacency route for gamma1 of the
+    # (16,6,2) and (37,9,2) biplanes: 10- and 16-regular
+    bound = spectra._coeff_bound(_circulant(n, 2 * m // n))
     assert len(spectra._modular_primes(2 * bound)) == primes
+
+
+# primes the line route takes for gamma1 of each design
+LINE_ROUTE_PRIMES = {
+    "biplane-4-3-2": 1, "biplane-7-4-2": 1, "biplane-11-5-2": 2,
+    "biplane-16-6-2-D1": 3, "biplane-16-6-2-D2": 3, "biplane-16-6-2-D3": 3,
+    "fano-7-3-1": 1, "complete-6-20-10-3-4": 3,
+    "(13,4,1)": 2, "(11,5,2)": 2, "(21,5,1)": 4, "(15,7,3)": 4,
+}
+
+
+def test_line_route_prime_counts(catalog_designs, monkeypatch):
+    from flagspec.flag_graphs import gamma1
+
+    counts = []
+    real_primes = spectra._modular_primes
+
+    def counting_primes(beyond):
+        counts.append(len(real_primes(beyond)))
+        return real_primes(beyond)
+
+    monkeypatch.setattr(spectra, "_modular_primes", counting_primes)
+    designs = dict(catalog_designs)
+    designs.update(zip(["(13,4,1)", "(11,5,2)", "(21,5,1)", "(15,7,3)"],
+                       _difference_set_designs()))
+    got = {}
+    for name, d in designs.items():
+        del counts[:]
+        char_poly(gamma1(d).graph)
+        (got[name],) = counts
+    assert got == LINE_ROUTE_PRIMES
 
 
 @st.composite
@@ -605,8 +649,39 @@ def bound_graphs(draw):
 @given(bound_graphs())
 def test_coeff_bound_covers_the_coefficient_norm(g):
     # the Parseval bound caps the sum of squares, not only each coefficient
-    bound = spectra._coeff_bound(g.n, g.edge_count)
+    bound = spectra._coeff_bound(g.adjacency())
     assert bound * bound >= sum(c * c for c in berkowitz_charpoly(g))
+    # tr A = 0 and tr A^2 = 2m: the bound reads nothing else of A
+    square = -(-((g.n + 2 * g.edge_count) ** g.n) // g.n**g.n)
+    assert bound == math.isqrt(square - 1) + 1
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices, n <= 12, with a nonzero trace and at
+    least one negative diagonal entry.  One in four is -aI: chi = (x + a)^n
+    has sum c_k^2 = sum C(n, k)^2 a^(2k) > (1 + a^2)^n for n >= 2, so the
+    bound is wrong there without its |tr M| term."""
+    n = draw(st.integers(1, 12))
+    if draw(st.integers(0, 3)) == 0:
+        a = draw(st.integers(1, 9))
+        return [[-a if i == j else 0 for j in range(n)] for i in range(n)]
+    entries = st.integers(-9, 9)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entries)
+    rows[0][0] = draw(st.integers(-9, -1))
+    if sum(rows[i][i] for i in range(n)) == 0:
+        rows[-1][-1] += 1
+    return rows
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(symmetric_matrices())
+def test_coeff_bound_covers_symmetric_integer_matrices(rows):
+    bound = spectra._coeff_bound(np.array(rows, dtype=np.int64))
+    assert bound * bound >= sum(c * c for c in berkowitz_matrix_charpoly(rows))
 
 
 @pytest.mark.parametrize("beyond", [1, 2**27, 2**200, 10**300, 2**681],
