@@ -1,12 +1,11 @@
 """The two graphs on the flags of a design.
 
-gamma1 joins flags sharing the point or the block, which on flags is
-exactly the line graph of the incidence graph, and it is built as that
-line graph: incidence edge (p, v + j) is flag (p, j).  gamma2, defined for
-biplanes only, joins (p, c) and (q, d) exactly when the blocks meet in
-{p, q}.  Vertex i of either graph is flags[i]; flags are listed in
-lexicographic (point, block_index) order, the order of enumerate_flags and
-of the incidence graph's edges.
+Both take their flags from enumerate_flags, in lexicographic (point,
+block_index) order, and vertex i of either graph is flags[i].  gamma1 joins
+flags sharing the point or the block, which on flags is exactly the line
+graph of the incidence graph, and it is built as that line graph: incidence
+edge i is (p, v + j) for flag i = (p, j).  gamma2, defined for biplanes
+only, joins (p, c) and (q, d) exactly when the blocks meet in {p, q}.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .designs import (
     incidence_graph,
     validate_design,
 )
-from .errors import NotABiplane, RepeatedBlock
+from .errors import NotABiplane
 from .graphs import Graph, graph_to_json, line_graph
 
 
@@ -37,17 +36,18 @@ class FlagGraph:
 def gamma1(d: Design) -> FlagGraph:
     """Flag graph: (p, c) ~ (q, d) iff p = q or c = d (and the flags differ)."""
     params = validate_design(d)
-    lg, edge_order = line_graph(incidence_graph(d))
-    flags = tuple(Flag(p, q - d.v) for p, q in edge_order)
-    return FlagGraph(lg, flags, params, "gamma1")
+    lg = line_graph(incidence_graph(d))
+    return FlagGraph(lg, tuple(enumerate_flags(d)), params, "gamma1")
 
 
 def gamma2(d: Design) -> FlagGraph:
     """Biplane flag graph: (p, c) ~ (q, d) iff blocks c and d meet in {p, q}.
 
-    Defined only for symmetric designs with lambda = 2, and only without
-    repeated blocks (two equal blocks have no two-point intersection to
-    speak of), so repeats are rejected even when the design allows them.
+    Defined only for symmetric designs with lambda = 2.  There N is square
+    and invertible (det NN^T = k^2 (k - lambda)^(v-1)) and NJ = JN = kJ, so
+    N^T N = N^-1 (NN^T) N = (k - lambda)I + lambda J: two distinct blocks
+    meet in exactly lambda = 2 < k points.  So a validated biplane has no
+    repeated block, even with allow_repeated_blocks.
     """
     params = validate_design(d)
     if params.lam != 2 or not params.is_symmetric:
@@ -56,18 +56,13 @@ def gamma2(d: Design) -> FlagGraph:
             f"(v,b,r,k,lambda)={params.as_tuple()}"
         )
     block_sets = [frozenset(blk) for blk in d.blocks]
-    for j, bs in enumerate(block_sets):
-        if bs in block_sets[:j]:
-            raise RepeatedBlock(j)
     flags = tuple(enumerate_flags(d))
     index = {f: i for i, f in enumerate(flags)}
     edges = []
     for j, l in combinations(range(d.b), 2):
-        meet = block_sets[j] & block_sets[l]
-        if len(meet) == 2:
-            x, y = sorted(meet)
-            edges.append((index[Flag(x, j)], index[Flag(y, l)]))
-            edges.append((index[Flag(y, j)], index[Flag(x, l)]))
+        x, y = sorted(block_sets[j] & block_sets[l])
+        edges.append((index[Flag(x, j)], index[Flag(y, l)]))
+        edges.append((index[Flag(y, j)], index[Flag(x, l)]))
     return FlagGraph(Graph(len(flags), edges), flags, params, "gamma2")
 
 

@@ -132,26 +132,23 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 
 
-def line_graph(g: Graph) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """Line graph of g, plus the edge ordering that names its vertices.
+def line_graph(g: Graph) -> Graph:
+    """Line graph of g: vertex i is g.edges[i].
 
-    Vertex i of the result is edge_order[i] (edges of g in lexicographic
-    order); two vertices are adjacent iff the underlying edges share an
-    endpoint.  Edges of a simple graph share at most one, so every pair
-    of line-graph vertices is produced by exactly one star.  gamma1 is
-    built as this graph of the incidence graph.  The result keeps g in
-    its _derived["line_root"], from which spectra.char_poly reads the
-    spectrum.
+    Two vertices are adjacent iff the underlying edges share an endpoint.
+    Edges of a simple graph share at most one, so every pair of line-graph
+    vertices is produced by exactly one star.  gamma1 is built as this
+    graph of the incidence graph.  The result keeps g in its
+    _derived["line_root"], from which spectra.char_poly reads the spectrum.
     """
-    edge_order = g.edges
     incident = [[] for _ in range(g.n)]
-    for i, (a, b) in enumerate(edge_order):
+    for i, (a, b) in enumerate(g.edges):
         incident[a].append(i)
         incident[b].append(i)
     pairs = [pair for star in incident for pair in combinations(star, 2)]
-    lg = Graph(len(edge_order), pairs)
+    lg = Graph(g.edge_count, pairs)
     lg._derived["line_root"] = g
-    return lg, edge_order
+    return lg
 
 
 def connected_components(g: Graph) -> list[list[int]]:

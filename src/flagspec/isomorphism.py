@@ -63,7 +63,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .designs import Design, incidence_graph, validate_design
+from .errors import TooManyVertices
 from .graphs import Graph, _graph6, connected_components
+
+# Vertex limit of canonical_form, checked before any search: a certificate
+# is graph6 of the whole graph, built from a bit array of n(n - 1)/2 bytes,
+# 134 MB at the limit.
+CANONICAL_VERTEX_LIMIT = 16384
 
 
 @dataclass(frozen=True)
@@ -240,9 +246,14 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
     certificate gains a class-size prefix; color values are ordinal (the
     class with the smallest color occupies the lowest canonical positions).
     The uncolored form is kept on g, so a repeat call on the same instance
-    returns it without searching.
+    returns it without searching.  Graphs above CANONICAL_VERTEX_LIMIT
+    vertices raise TooManyVertices.
     """
     n = g.n
+    if n > CANONICAL_VERTEX_LIMIT:
+        raise TooManyVertices(
+            n, CANONICAL_VERTEX_LIMIT, "the canonical-form limit CANONICAL_VERTEX_LIMIT"
+        )
     if colors is not None:
         if len(colors) != n:
             raise ValueError("need one color per vertex")

@@ -221,11 +221,3 @@ def _sign_variations(chain: list[IntPolynomial], x: Fraction) -> int:
     """Sign changes along a Sturm chain evaluated at x, zeros skipped."""
     signs = [(-1 if y < 0 else 1) for y in (q.evaluate(x) for q in chain) if y != 0]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
-
-
-def count_roots_in(p: IntPolynomial, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of square-free p in the interval (lo, hi]."""
-    if lo >= hi:
-        return 0
-    chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)

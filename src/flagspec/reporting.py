@@ -396,10 +396,9 @@ def _criterion_property_suites(
     bad = []
     for did in CATALOG_IDS:
         fg = c.g1[did]
-        lg, edge_order = line_graph(c.incidence[did])
-        v = c.designs[did].v
+        inc, v = c.incidence[did], c.designs[did].v
         flags_as_edges = [(f.point, v + f.block_index) for f in fg.flags]
-        if lg != fg.graph or list(edge_order) != flags_as_edges:
+        if line_graph(inc) != fg.graph or list(inc.edges) != flags_as_edges:
             bad.append(did)
     ch.record(
         "gamma1 equals line_graph(incidence_graph) position by position", not bad

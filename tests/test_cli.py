@@ -408,6 +408,18 @@ def test_graph_file_vertex_limit_exits_two(capsys, tmp_path):
     assert "258047" in obj["error"]["message"]
 
 
+def test_iso_above_the_canonical_form_limit_exits_two(capsys, tmp_path):
+    # one past the limit: refused before any search, which at this order
+    # would run 16,385 one-vertex searches and a 134 MB certificate array
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text('{"n": 16385, "edges": []}')
+    code, obj = run_json(capsys, "iso", *map(str, paths))
+    assert code == 2
+    assert obj["error"]["type"] == "TooManyVertices"
+    assert "CANONICAL_VERTEX_LIMIT of 16384" in obj["error"]["message"]
+
+
 def test_graph6_header_beyond_one_byte_range_exits_two(capsys, tmp_path):
     # header byte 127 followed by the body of a 64-vertex graph
     path = tmp_path / "bad.g6"

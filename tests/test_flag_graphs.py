@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 
 from flagspec.catalog import BIPLANE_IDS, CATALOG_IDS
@@ -6,10 +9,12 @@ from flagspec.designs import (
     design_from_difference_set,
     enumerate_flags,
     incidence_graph,
+    validate_design,
 )
-from flagspec.errors import NotABiplane, RepeatedBlock
+from flagspec.errors import NotABiplane, PairCountMismatch
 from flagspec.flag_graphs import flag_graph_to_json, gamma1, gamma2
 from flagspec.graphs import girth, graph_from_json, line_graph
+from test_spectra import _difference_set_designs
 
 
 def test_gamma1_fano(catalog_designs):
@@ -18,8 +23,7 @@ def test_gamma1_fano(catalog_designs):
     assert fg.variant == "gamma1"
     assert fg.graph.n == 21
     assert all(fg.graph.degree(x) == 4 for x in range(21))
-    lg, _ = line_graph(incidence_graph(d))
-    assert fg.graph == lg
+    assert fg.graph == line_graph(incidence_graph(d))
 
 
 def test_gamma1_flag_order_and_index(catalog_designs):
@@ -27,6 +31,54 @@ def test_gamma1_flag_order_and_index(catalog_designs):
     fg = gamma1(d)
     assert list(fg.flags) == sorted(fg.flags)  # lex by (point, block_index)
     assert list(fg.flags) == enumerate_flags(d)
+
+
+def _relabeled(d, rng):
+    """d with its points permuted and its blocks shuffled."""
+    perm = list(range(d.v))
+    rng.shuffle(perm)
+    blocks = [[perm[p] for p in blk] for blk in d.blocks]
+    rng.shuffle(blocks)
+    return Design(d.v, blocks, allow_repeated_blocks=d.allow_repeated_blocks)
+
+
+def test_both_flag_graphs_take_their_flags_from_enumerate_flags(catalog_designs):
+    rng = random.Random(1729)
+    fano = catalog_designs["fano-7-3-1"]
+    doubled = Design(fano.v, fano.blocks * 2, allow_repeated_blocks=True)
+    designs = [*catalog_designs.values(), *_difference_set_designs(), doubled]
+    for d in designs + [_relabeled(d, rng) for d in designs]:
+        flags = tuple(enumerate_flags(d))
+        inc = incidence_graph(d)
+        fg = gamma1(d)
+        assert fg.flags == flags
+        # incidence edge i, read as a flag, is flag i
+        assert [(f.point, d.v + f.block_index) for f in flags] == list(inc.edges)
+        assert fg.graph == line_graph(inc)
+        params = validate_design(d)
+        if params.is_symmetric and params.lam == 2:
+            assert gamma2(d).flags == flags
+
+
+BIPLANE_37 = design_from_difference_set(37, [1, 7, 9, 10, 12, 16, 26, 33, 34])
+
+
+@pytest.mark.parametrize("did", BIPLANE_IDS + ("biplane-37",))
+def test_validated_biplanes_meet_in_two_points_and_repeat_no_block(
+    catalog_designs, did
+):
+    # gamma2 relies on both without checking: in a symmetric design
+    # N^T N = (k - lambda)I + lambda J, so distinct blocks meet in lambda
+    # points, and a repeated block can never pass validation
+    d = BIPLANE_37 if did == "biplane-37" else catalog_designs[did]
+    blocks = [set(blk) for blk in d.blocks]
+    assert all(len(a & b) == 2 for a, b in combinations(blocks, 2))
+    for j, l in combinations(range(d.b), 2):
+        for kept, dropped in ((j, l), (l, j)):
+            copy = list(d.blocks)
+            copy[dropped] = d.blocks[kept]
+            with pytest.raises(PairCountMismatch):
+                validate_design(Design(d.v, copy, allow_repeated_blocks=True))
 
 
 # every catalog design, plus one built by the difference-set construction
@@ -79,7 +131,7 @@ def test_gamma2_rejects_non_biplanes(catalog_designs):
         gamma2(catalog_designs["complete-6-20-10-3-4"])  # lambda = 4
     # lambda = 2 but not symmetric
     doubled = Design(3, [[0, 1], [0, 2], [1, 2]] * 2, allow_repeated_blocks=True)
-    with pytest.raises((NotABiplane, RepeatedBlock)):
+    with pytest.raises(NotABiplane):
         gamma2(doubled)
 
 

@@ -137,20 +137,25 @@ def test_subgraphs_of_many_components_finish_quickly():
 
 
 def test_line_graph_small_cases():
-    k3, order = line_graph(complete_graph(3))
-    assert k3 == complete_graph(3)
-    assert list(order) == [(0, 1), (0, 2), (1, 2)]
     star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-    lk13, _ = line_graph(star)
-    assert lk13 == complete_graph(3)
     path = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    lp, _ = line_graph(path)
-    assert lp.edges == ((0, 1), (1, 2))
+    assert line_graph(complete_graph(3)) == complete_graph(3)
+    assert line_graph(star) == complete_graph(3)
+    assert line_graph(path).edges == ((0, 1), (1, 2))
+    # vertex i is g.edges[i]: i ~ j exactly when the edges share an endpoint
+    rng = random.Random(5)
+    for g in (complete_graph(3), star, path, complete_graph(5), cycle_graph(6),
+              _random_graph(9, 0.4, rng)):
+        lg = line_graph(g)
+        assert lg.n == g.edge_count
+        for i in range(lg.n):
+            for j in range(i + 1, lg.n):
+                assert lg.has_edge(i, j) == bool(set(g.edges[i]) & set(g.edges[j]))
 
 
 def test_only_line_graph_records_its_root():
     root = cycle_graph(5)
-    lg, _ = line_graph(root)
+    lg = line_graph(root)
     assert lg._derived["line_root"] is root
     for copy in (lg.relabel(range(5)), lg.subgraph(range(5)),
                  graph_from_graph6(graph_to_graph6(lg)),

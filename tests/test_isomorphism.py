@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagspec import isomorphism
 from flagspec.catalog import clebsch_graph
 from flagspec.designs import Design
+from flagspec.errors import TooManyVertices
 from flagspec.graphs import (
     Graph,
     complete_graph,
@@ -20,6 +22,7 @@ from flagspec.graphs import (
     line_graph,
 )
 from flagspec.isomorphism import (
+    CANONICAL_VERTEX_LIMIT,
     _color_weights,
     _Node,
     canonical_form,
@@ -71,8 +74,8 @@ def test_decision_matches_brute_force():
 
 def test_small_decisions():
     assert not is_isomorphic(cycle_graph(4), complete_graph(3))
-    k3_line, _ = line_graph(complete_graph(3))
-    star_line, _ = line_graph(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    k3_line = line_graph(complete_graph(3))
+    star_line = line_graph(Graph(4, [(0, 1), (0, 2), (0, 3)]))
     # the classical line-graph collision: K3 and the 3-star
     assert is_isomorphic(k3_line, star_line)
     assert canonical_form(k3_line).certificate == canonical_form(star_line).certificate
@@ -423,6 +426,19 @@ def test_strongly_regular_graphs():
         assert is_isomorphic(g, h)
         cf = canonical_form(h)
         assert cf.certificate == graph_to_graph6(h.relabel(list(cf.permutation))).encode()
+
+
+def test_canonical_form_refuses_graphs_above_its_vertex_limit(monkeypatch):
+    def searched(*args):
+        raise AssertionError("search started above the vertex limit")
+
+    monkeypatch.setattr(isomorphism, "connected_components", searched)
+    monkeypatch.setattr(isomorphism, "_search", searched)
+    big = Graph(CANONICAL_VERTEX_LIMIT + 1, [])
+    for colors in (None, [0] * big.n, [v % 2 for v in range(big.n)]):
+        with pytest.raises(TooManyVertices, match="CANONICAL_VERTEX_LIMIT"):
+            canonical_form(big, colors)
+    assert "canonical_form" not in big._derived
 
 
 def test_color_weight_sums_are_exact_at_high_degree():
