@@ -2,7 +2,8 @@
 
 Catalog designs live as interchange JSON files under flagspec/data,
 generated once by scripts/generate_catalog_data.py and re-validated on
-load.  FLAGSPEC_CATALOG_DIR overrides the embedded directory.
+load.  An <id>.json file in FLAGSPEC_CATALOG_DIR overrides the bundled
+entry of that id; ids it does not provide load from flagspec/data.
 """
 
 from __future__ import annotations
@@ -46,12 +47,10 @@ class CatalogEntry:
 
 @lru_cache(maxsize=None)
 def _load_entry(entry_id: str, override: str | None) -> CatalogEntry:
-    if override:
-        text = (Path(override) / f"{entry_id}.json").read_text()
-    else:
-        data = resources.files("flagspec").joinpath("data")
-        text = data.joinpath(f"{entry_id}.json").read_text()
-    raw = json.loads(text)
+    source = resources.files("flagspec").joinpath("data")
+    if override and (Path(override) / f"{entry_id}.json").is_file():
+        source = Path(override)
+    raw = json.loads(source.joinpath(f"{entry_id}.json").read_text())
     design = design_from_json(raw)
     params = validate_design(design)
     return CatalogEntry(entry_id, params, design, raw.get("provenance", ""))

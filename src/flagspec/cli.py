@@ -98,13 +98,13 @@ def _load_design(ref: str) -> Design:
 
 def _load_graph(ref: str) -> Graph:
     text = _read(ref).strip()
-    if text.startswith("{"):
-        obj = json.loads(text)
-        if "graph" in obj and "edges" not in obj:
-            obj = obj["graph"]
-        return graph_from_json(obj)
     if not text:
         raise ValueError(f"{ref}: empty graph file")
+    # a graph6 line holds only bytes 63-126 after its optional >>graph6<<
+    # prefix, so never the '"' that every JSON graph object has; its first
+    # byte, '{' at n = 60, says nothing
+    if '"' in text:
+        return graph_from_json(text)
     return graph_from_graph6(text.splitlines()[0])
 
 

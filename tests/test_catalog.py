@@ -3,7 +3,7 @@ import json
 import networkx as nx
 import pytest
 
-from flagspec import catalog
+from flagspec import catalog, reporting
 from flagspec.catalog import (
     BIPLANE_IDS,
     CATALOG_IDS,
@@ -12,7 +12,7 @@ from flagspec.catalog import (
     get_entry,
     reference_graph,
 )
-from flagspec.designs import design_to_json, validate_design
+from flagspec.designs import design_from_difference_set, design_to_json, validate_design
 from flagspec.errors import SelfCheckFailed, UnknownCatalogId, UnknownGraphName
 from flagspec.flag_graphs import gamma2
 from flagspec.graphs import cycle_graph, girth
@@ -105,3 +105,23 @@ def test_catalog_dir_override(tmp_path, monkeypatch):
     assert get_entry("biplane-4-3-2").provenance == "override for testing"
     monkeypatch.delenv("FLAGSPEC_CATALOG_DIR")
     assert get_entry("biplane-4-3-2").provenance != "override for testing"
+
+
+def test_catalog_growth_leaves_the_report_unchanged(tmp_path, monkeypatch):
+    # table5 reports on the designs its literal claims name, so a biplane
+    # added to the catalog (served here from an override directory) is
+    # listed by the catalog and left out of the report
+    before = reporting.run_reproduction(relabel_rounds=1)
+    new_id = "biplane-11-5-2-qr"
+    d = design_from_difference_set(11, [1, 3, 4, 5, 9])
+    payload = {"id": new_id, "provenance": "quadratic residues mod 11",
+               **design_to_json(d)}
+    (tmp_path / f"{new_id}.json").write_text(json.dumps(payload))
+    monkeypatch.setenv("FLAGSPEC_CATALOG_DIR", str(tmp_path))
+    for module in (catalog, reporting):
+        monkeypatch.setattr(module, "CATALOG_IDS", CATALOG_IDS + (new_id,),
+                            raising=False)
+        monkeypatch.setattr(module, "BIPLANE_IDS", BIPLANE_IDS + (new_id,),
+                            raising=False)
+    assert get_design(new_id) == d
+    assert reporting.run_reproduction(relabel_rounds=1) == before

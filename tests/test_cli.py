@@ -6,7 +6,7 @@ import pytest
 
 import flagspec.cli as cli
 from flagspec import spectra
-from flagspec.graphs import graph_from_graph6
+from flagspec.graphs import Graph, graph_from_graph6, graph_to_graph6, graph_to_json
 from flagspec.reporting import CriterionResult, ReproductionReport
 
 
@@ -269,6 +269,22 @@ def test_catalog_dir_override_via_env(capsys, tmp_path, monkeypatch):
     assert shown["provenance"] == "from override"
 
 
+def test_catalog_dir_override_falls_back_to_bundled_entries(capsys, tmp_path,
+                                                          monkeypatch):
+    # a one-file override directory leaves every other id loadable
+    code, obj = run_json(capsys, "catalog", "show", "biplane-4-3-2")
+    payload = {"id": "biplane-4-3-2", "provenance": "from override",
+               **obj["design"]}
+    (tmp_path / "biplane-4-3-2.json").write_text(json.dumps(payload))
+    monkeypatch.setenv("FLAGSPEC_CATALOG_DIR", str(tmp_path))
+    code, listed = run_json(capsys, "catalog", "list")
+    assert code == 0
+    assert len(listed["designs"]) == 8
+    code, params = run_json(capsys, "validate", "catalog:biplane-7-4-2")
+    assert code == 0
+    assert (params["v"], params["k"], params["lambda"]) == (7, 4, 2)
+
+
 def test_formula_output_feeds_spectrum_claim(capsys, tmp_path):
     # the README workflow: the whole `formula` output is a valid --claim file
     code, out = run(capsys, "gamma1", "catalog:fano-7-3-1", "--format",
@@ -498,3 +514,74 @@ def test_formula_with_a_huge_radicand_exits_two(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 2
     assert "too large to factor" in obj["error"]["message"]
+
+
+@pytest.mark.parametrize("prefix", ["", ">>graph6<<"], ids=["plain", "prefixed"])
+@pytest.mark.parametrize("n", [0, 1, 28, 59, 60, 61, 62, 63])
+def test_graph6_files_of_every_order_read_back(capsys, tmp_path, n, prefix):
+    # the one-byte header of n = 60 is '{', which once sent the file to the
+    # JSON reader; a graph6 file and the JSON file of the same graph must
+    # give the same answer
+    g = Graph(n, [(i, i + 2) for i in range(n - 2)])
+    g6_path, json_path = tmp_path / "g.g6", tmp_path / "g.json"
+    g6_path.write_text(prefix + graph_to_graph6(g) + "\n")
+    json_path.write_text(json.dumps(graph_to_json(g)))
+    code, from_g6 = run_json(capsys, "components", str(g6_path))
+    assert code == 0
+    code, from_json = run_json(capsys, "components", str(json_path))
+    assert code == 0
+    assert from_g6 == from_json
+    assert sum(from_g6["sizes"]) == n
+
+
+def test_sixty_flag_gamma1_reads_back(capsys, tmp_path):
+    code, out = run(capsys, "gamma1", "catalog:complete-6-20-10-3-4",
+                    "--format", "graph6")
+    assert code == 0 and out.startswith("{")
+    path = tmp_path / "g.g6"
+    path.write_text(out)
+    code, obj = run_json(capsys, "charpoly", str(path))
+    assert code == 0 and obj["n"] == 60
+    code, obj = run_json(capsys, "iso", str(path), str(path))
+    assert code == 0 and obj["isomorphic"] is True
+
+
+def test_classify_fano_via_gamma1(capsys):
+    code, obj = run_json(capsys, "classify", "catalog:fano-7-3-1", "--via",
+                         "gamma1")
+    assert code == 0
+    assert obj["matches_prediction"] is True
+
+
+def test_incidence_json_output(capsys):
+    code, obj = run_json(capsys, "incidence", "catalog:complete-6-20-10-3-4")
+    assert code == 0
+    assert obj["n"] == 26 and len(obj["edges"]) == 60
+
+
+def test_empty_graph_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("\n")
+    code, obj = run_json(capsys, "components", str(path))
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+    assert "empty graph file" in obj["error"]["message"]
+
+
+def test_report_needs_a_positive_relabel_count(capsys):
+    code, obj = run_json(capsys, "report", "paper-table5", "--relabel-rounds", "0")
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+
+
+@pytest.mark.parametrize("data", [b"~~??" + b"?" * 336, b"~??",
+                                  b"~?0?" + b"?" * 336, b"~?\x7f?" + b"?" * 336],
+                         ids=["second-tilde", "two-size-bytes", "size-byte-48",
+                              "size-byte-127"])
+def test_bad_extended_graph6_header_exits_two(capsys, tmp_path, data):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(data)
+    code, obj = run_json(capsys, "components", str(path))
+    assert code == 2
+    assert obj["error"]["type"] == "format"
+    assert "bad extended graph6 header" in obj["error"]["message"]
