@@ -19,6 +19,10 @@ class IntPolynomial:
     """Polynomial with exact integer coefficients, ascending order.
 
     The zero polynomial has an empty coefficient tuple and degree -1.
+    A product is one big-integer product (Kronecker substitution): each
+    operand is packed as its value at 2**(8w), one coefficient per w-byte
+    slot, with w taken from an l1 bound of the result so that no slot
+    overflows, and the slots of the product are read back.
     """
 
     __slots__ = ("coeffs",)
@@ -80,14 +84,37 @@ class IntPolynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPolynomial([])
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
+        # every coefficient of ab is at most ||ab||_1 <= ||a||_1 ||b||_1
+        width = _slot_bytes(_norm1(a) * _norm1(b))
+        product = _pack(a, width) * _pack(b, width)
+        return IntPolynomial(_unpack(product, width, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
+
+    def __pow__(self, m: int) -> "IntPolynomial":
+        """self**m for an integer m >= 0, with 0**0 = 1.
+
+        A factor x**s of self becomes x**(s*m).  For the rest, f with
+        f_0 != 0 and degree d, the coefficients a_k of f**m satisfy
+        k f_0 a_k = sum over i = 1..min(k, d) of ((m + 1) i - k) f_i a_(k-i)
+        (J.C.P. Miller), a_0 = f_0**m: each a_k is an integer, so the
+        division is exact, and the whole power takes O(m d**2) products.
+        """
+        m = operator.index(m)
+        if m < 0:
+            raise ValueError("exponent must be non-negative")
+        cs = self.coeffs
+        if not cs:
+            return IntPolynomial([] if m else [1])
+        shift = next(i for i, c in enumerate(cs) if c)
+        f = cs[shift:]
+        d, f0 = len(f) - 1, f[0]
+        out = [f0**m]
+        for k in range(1, m * d + 1):
+            total = sum(((m + 1) * i - k) * f[i] * out[k - i]
+                        for i in range(1, min(k, d) + 1))
+            out.append(total // (k * f0))
+        return IntPolynomial([0] * (shift * m) + out)
 
     def evaluate(self, x):
         """Exact value at x by Horner (int or Fraction in, same kind out)."""
@@ -133,6 +160,48 @@ class IntPolynomial:
             else:
                 parts.append(f"{sign} {body}")
         return " ".join(parts)
+
+
+def _norm1(coeffs) -> int:
+    return sum(map(abs, coeffs))
+
+
+def _slot_bytes(bound: int) -> int:
+    """Slot width w in bytes for coefficients |c| <= bound < 2**(8w - 1)."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(coeffs, width: int) -> int:
+    """Value at 2**(8 * width) of the polynomial with these coefficients,
+    each smaller than 2**(8 * width - 1) in magnitude."""
+    zero = bytes(width)
+    pos = b"".join(c.to_bytes(width, "little") if c > 0 else zero for c in coeffs)
+    neg = b"".join((-c).to_bytes(width, "little") if c < 0 else zero for c in coeffs)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _unpack(value: int, width: int, count: int) -> list[int]:
+    """The count coefficients c_k of value = sum c_k 2**(8 * width * k),
+    each below half a slot in magnitude: adding half a slot to every slot
+    leaves digits c_k + half in [0, 2**(8 * width)), read without borrows."""
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    data = (value + offset).to_bytes(width * count, "little")
+    return [int.from_bytes(data[i : i + width], "little") - half
+            for i in range(0, width * count, width)]
+
+
+def _compose(p: IntPolynomial, q: IntPolynomial) -> IntPolynomial:
+    """p(q(x)), evaluated at the packed point q(2**(8w)) and unpacked once.
+
+    Every coefficient of p(q) is at most ||p(q)||_1 <= sum |p_i| ||q||_1**i.
+    """
+    if p.is_zero or q.degree < 1:
+        return IntPolynomial([p.evaluate(q.coefficient(0))])
+    norm = _norm1(q.coeffs)
+    width = _slot_bytes(IntPolynomial(map(abs, p.coeffs)).evaluate(norm))
+    value = p.evaluate(_pack(q.coeffs, width))
+    return IntPolynomial(_unpack(value, width, p.degree * q.degree + 1))
 
 
 def _divmod(

@@ -14,8 +14,12 @@ A graph goes in as its adjacency matrix.  A line graph built by
 graphs.line_graph, whose root has N <= n vertices and m edges, goes in as
 Q - 2I, with Q the root's N-square signless Laplacian: the kernel returns
 chi_Q(x + 2), and chi_L(x) = (x + 2)^(m - N) chi_Q(x + 2)
-(_line_charpoly).  gamma1 is such a line graph, so its order-n problem
-becomes one of order v + b.  Both routes end in the same self-checks.
+(_line_charpoly).  When the root is bipartite with one degree on each
+side, a Schur complement halves that again: the kernel reduces C C^T, C
+the root's biadjacency matrix, of the order of the smaller side.  gamma1
+is the line graph of the incidence graph, so its order-n problem becomes
+one of order min(v, b), the matrix N N^T of the design.  All routes end in
+the same self-checks.
 
 No floating point touches any verification verdict; spectrum claims carry
 eigenvalues of the form a + b*sqrt(d) and are checked by exact polynomial
@@ -39,8 +43,9 @@ import numpy as np
 
 from .designs import DesignParams
 from .errors import NonIntegralClaim, SelfCheckFailed
-from .graphs import Graph, _check_dense, _json_int
-from .polynomials import IntPolynomial, _sign_variations, square_free_part, sturm_chain
+from .graphs import Graph, _check_dense, _gram, _json_int
+from .polynomials import (IntPolynomial, _compose, _sign_variations,
+                          square_free_part, sturm_chain)
 
 
 # trial division gives up at this f: every m whose part without prime
@@ -207,16 +212,12 @@ def claim_to_polynomial(c: SpectrumClaim) -> IntPolynomial:
     and by Gauss's lemma a monic product lies in Z[x] exactly when each of
     its monic irreducible factors does, so a factor with a non-integer
     coefficient raises NonIntegralClaim before anything is expanded.
-    Each factor is raised to its multiplicity by square-and-multiply.
+    Each factor is raised to its multiplicity by IntPolynomial.__pow__,
+    and the powers are multiplied together.
     """
     poly = IntPolynomial([1])
     for factor, m in _claim_factors(c):
-        while m:
-            if m & 1:
-                poly = poly * factor
-            m >>= 1
-            if m:
-                factor = factor * factor
+        poly = poly * factor**m
     return poly
 
 
@@ -237,26 +238,34 @@ def _small_primes(limit: int) -> tuple[int, ...]:
 
 def _coeff_bound(mat: np.ndarray) -> int:
     """Bound B >= |c| for every coefficient c of det(xI - M), for a
-    symmetric integer N x N matrix M: B = ceil(sqrt((1 + s/N)^N)) with
-    s = 2|tr M| + tr M^2, and tr M^2 the sum of the squared entries.
+    symmetric integer N x N matrix M: B = ceil(sqrt(S)) with S the smaller
+    of two bounds on the sum of the squared coefficients.
 
-    By Parseval on the unit circle, the sum of c_k^2 over all coefficients
-    of chi(x) = prod_j (x - nu_j) is the mean over t of |chi(e^it)|^2 =
-    prod_j (1 - 2 nu_j cos t + nu_j^2), with the nu_j real.  That is a
-    product of N non-negative reals whose mean is at most 1 + s/N at every
-    t, so by AM-GM it is at most (1 + s/N)^N, and every |c_k| at most the
-    square root of that.  For an adjacency matrix, tr A = 0 and tr A^2 is
-    twice the edge count.
+    By Parseval on the unit circle, that sum is the mean over t of
+    |chi(e^it)|^2 = det(I - 2 cos t M + M^2) = prod_j (1 - 2 nu_j cos t +
+    nu_j^2), with the nu_j the real eigenvalues of M.
+    - AM-GM: the N factors are non-negative with mean at most 1 + s/N at
+      every t, s = 2|tr M| + tr M^2, so S <= (1 + s/N)^N.  For an adjacency
+      matrix, tr A = 0 and tr A^2 is twice the edge count.
+    - Hadamard: I - 2 cos t M + M^2 = (e^it I - M)(e^-it I - M) is positive
+      semidefinite, so its determinant is at most the product of its
+      diagonal entries, S <= prod_i (1 + 2|M_ii| + sum_j M_ij^2).  One
+      dominant row costs this bound one factor, not all N.
+    The two are equal when every row gives the same 1 + 2|M_ii| + sum_j
+    M_ij^2 and the diagonal has one sign, as for a regular graph.
 
-    The sum of squares is accumulated in int64, without an int64 copy of
-    M: every matrix here has entries below 2**13 in magnitude (a degree is
-    below graphs.DENSE_VERTEX_LIMIT) and at most 2**26 of them, so it stays
-    below 2**52.
+    The squares are summed in int64, without an int64 copy of M: every
+    matrix here has entries below 2**13 in magnitude (a degree is below
+    graphs.DENSE_VERTEX_LIMIT) and at most 2**26 of them, so every sum
+    stays below 2**52.
     """
     big_n = mat.shape[0]
-    sum_squares = int(np.einsum("ij,ij->", mat, mat, dtype=np.int64))
-    total = big_n + 2 * abs(int(np.trace(mat, dtype=np.int64))) + sum_squares
-    square = -(-(total**big_n) // big_n**big_n)
+    row_squares = np.einsum("ij,ij->i", mat, mat, dtype=np.int64)
+    diagonal = np.diagonal(mat).astype(np.int64)
+    total = big_n + 2 * abs(int(diagonal.sum())) + int(row_squares.sum())
+    am_gm = -(-(total**big_n) // big_n**big_n)
+    hadamard = math.prod((1 + 2 * np.abs(diagonal) + row_squares).tolist())
+    square = min(am_gm, hadamard)
     root = math.isqrt(square)
     return root if root * root == square else root + 1
 
@@ -380,6 +389,30 @@ def _charpoly_matrix(mat: np.ndarray) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+def _biregular_sides(root: Graph) -> list[list[int]] | None:
+    """The colour classes [U, W], |U| <= |W|, of root's 2-colouring when
+    all of U has one degree and all of W one degree, else None.  The least
+    vertex of each component takes colour 0, so components whose sides
+    have each other's degrees make the colouring fail."""
+    colour = [-1] * root.n
+    for start in range(root.n):
+        if colour[start] >= 0:
+            continue
+        colour[start] = 0
+        queue = [start]
+        for v in queue:  # grows while it is read: breadth first
+            for w in root.neighbors(v):
+                if colour[w] < 0:
+                    colour[w] = 1 - colour[v]
+                    queue.append(w)
+                elif colour[w] == colour[v]:
+                    return None
+    sides = [[v for v in range(root.n) if colour[v] == c] for c in (0, 1)]
+    if any(len({root.degree(v) for v in side}) != 1 for side in sides):
+        return None
+    return sorted(sides, key=len)
+
+
 def _line_charpoly(root: Graph) -> IntPolynomial:
     """Characteristic polynomial of the line graph of root, which has N
     vertices and m >= N edges, from its signless Laplacian Q = D + A.
@@ -387,14 +420,30 @@ def _line_charpoly(root: Graph) -> IntPolynomial:
     With B the N x m vertex-edge incidence matrix, B^T B = 2I + A(L) and
     B B^T = Q, and the two products share their nonzero eigenvalues, so
     chi_L(x) = (x + 2)^(m - N) chi_Q(x + 2) (Cvetkovic, Rowlinson & Simic
-    2010, section 1.4).  chi_Q(x + 2) is det(xI - (Q - 2I)), which the
-    kernel returns; the diagonal entries deg - 2 may be negative.
+    2010, section 1.4), and chi_Q(x + 2) = det(xI - (Q - 2I)).
+
+    A biregular bipartite root (_biregular_sides: degree d_U on U, d_W on
+    W, |U| <= |W|), such as the incidence graph under gamma1, has
+    Q - 2I = [[aI, C], [C^T, bI]], with a = d_U - 2, b = d_W - 2 and C the
+    U x W biadjacency.  Its Schur complement gives
+    det(xI - (Q - 2I)) = (x - b)^(|W| - |U|) chi_{CC^T}((x - a)(x - b)),
+    so the kernel reduces CC^T, of order |U|, and the result is composed.
+    Every other root has the kernel reduce Q - 2I, whose diagonal entries
+    deg - 2 may be negative.
     """
-    k = root.edge_count - root.n
-    q = root.adjacency().astype(np.int64)
-    q[np.diag_indices(root.n)] = q.sum(axis=1) - 2
-    power = IntPolynomial([math.comb(k, i) << (k - i) for i in range(k + 1)])
-    return power * _charpoly_matrix(q)
+    sides = _biregular_sides(root)
+    if sides is None:
+        q = root.adjacency().astype(np.int64)
+        q[np.diag_indices(root.n)] = q.sum(axis=1) - 2
+        shifted = _charpoly_matrix(q)
+    else:
+        u, w = sides
+        a, b = root.degree(u[0]) - 2, root.degree(w[0]) - 2
+        gram = _gram(root.adjacency()[np.ix_(u, w)])
+        quadratic = IntPolynomial([a * b, -a - b, 1])
+        shifted = (IntPolynomial([-b, 1]) ** (len(w) - len(u))
+                   * _compose(_charpoly_matrix(gram), quadratic))
+    return IntPolynomial([2, 1]) ** (root.edge_count - root.n) * shifted
 
 
 def char_poly(g: Graph) -> IntPolynomial:
@@ -434,11 +483,14 @@ def verify_spectrum(g: Graph, c: SpectrumClaim) -> bool:
     """Exact test: does the claim expand to char_poly(g)?
 
     A claim whose multiplicities do not add up to g.n has the wrong degree
-    and is refuted without expanding it, after the integrality check.
+    and is refuted without expanding it, after the integrality check.  A
+    graph above graphs.DENSE_VERTEX_LIMIT vertices raises TooManyVertices
+    after that check too, before the claim is expanded.
     """
+    _claim_factors(c)
     if c.total_multiplicity != g.n:
-        _claim_factors(c)
         return False
+    _check_dense(g.n)
     return claim_to_polynomial(c) == char_poly(g)
 
 

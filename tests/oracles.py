@@ -14,6 +14,18 @@ from flagspec.errors import PairCountMismatch, SelfCheckFailed
 from flagspec.graphs import Graph
 
 
+def schoolbook_product(a, b) -> list[int]:
+    """Ascending coefficients of the product of two ascending coefficient
+    lists, term by term (empty for a zero factor; trailing zeros kept)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def berkowitz_charpoly(g: Graph) -> list[int]:
     """Division-free characteristic polynomial of the adjacency matrix.
 

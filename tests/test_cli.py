@@ -505,6 +505,21 @@ def test_large_claims_finish_quickly(capsys, tmp_path, entries, expected):
         assert obj["verified"] is False
 
 
+def test_claim_of_full_multiplicity_expands_quickly(capsys, tmp_path):
+    # the multiplicities add up to n, so (x - 1)^4000 is expanded in full;
+    # by repeated squaring of dense factors that took about 20 s
+    graph_path = tmp_path / "edgeless.json"
+    graph_path.write_text(json.dumps({"n": 4000, "edges": []}))
+    claim_path = tmp_path / "claim.json"
+    claim_path.write_text(json.dumps({"entries": [{"a": 1, "multiplicity": 4000}]}))
+    start = time.perf_counter()
+    code, obj = run_json(capsys, "spectrum", str(graph_path), "--claim",
+                         str(claim_path))
+    assert time.perf_counter() - start < 3.0
+    assert code == 1
+    assert obj["verified"] is False
+
+
 def test_formula_with_a_huge_radicand_exits_two(capsys):
     # disc = (v - 1)**2 with v - 1 = 10**12 + 39 prime, too large to factor
     start = time.perf_counter()

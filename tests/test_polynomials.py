@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from flagspec.polynomials import (
     IntPolynomial,
+    _compose,
     _divmod,
     _sign_variations,
     exact_div,
@@ -16,6 +18,8 @@ from flagspec.polynomials import (
     square_free_part,
     sturm_chain,
 )
+
+from oracles import schoolbook_product
 
 X = sympy.Symbol("x")
 
@@ -245,3 +249,72 @@ def test_sturm_counts_property(p, lo, width):
     theirs = len({r for r in sympy.real_roots(sp) if lo < r <= hi})
     ours = _sign_variations(chain, Fraction(lo)) - _sign_variations(chain, Fraction(hi))
     assert ours == theirs
+
+
+# ---------------------------------------------------------------------------
+# packed products, Miller powers and composition against term-by-term
+# references
+# ---------------------------------------------------------------------------
+
+@st.composite
+def wide_polys(draw):
+    """The zero polynomial, constants, and lengths up to 40 with
+    mixed-sign coefficients up to 2**300 in magnitude, zeros included."""
+    bits = draw(st.sampled_from([1, 4, 30, 64, 300]))
+    size = draw(st.integers(0, 40))
+    entry = st.one_of(st.just(0), st.integers(-(2**bits), 2**bits))
+    return IntPolynomial(draw(st.lists(entry, min_size=size, max_size=size)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(wide_polys(), wide_polys())
+def test_product_matches_the_schoolbook_product(a, b):
+    assert (a * b).coeffs == IntPolynomial(schoolbook_product(a.coeffs, b.coeffs)).coeffs
+    assert (a * b) == (b * a)
+
+
+def test_product_slots_hold_their_extreme_coefficients():
+    # |coefficient| equal to the l1 bound itself, at slot-width boundaries
+    for bits in (7, 8, 15, 16, 63, 64, 300):
+        big = IntPolynomial([2**bits - 1])
+        for a, b in ((big, big), (-big, big), (IntPolynomial([1, 1]) * big, -big)):
+            assert (a * b).coeffs == tuple(schoolbook_product(a.coeffs, b.coeffs))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(polys(max_degree=4), st.integers(0, 4), st.integers(0, 12))
+def test_power_matches_repeated_products(p, shift, m):
+    # x**shift * p, so the power shifts as well as expands
+    p = IntPolynomial([0] * shift + list(p.coeffs))
+    expected = IntPolynomial([1])
+    for _ in range(m):
+        expected = IntPolynomial(schoolbook_product(expected.coeffs, p.coeffs))
+    assert p**m == expected
+
+
+def test_power_edge_cases():
+    zero, x = IntPolynomial([]), IntPolynomial([0, 1])
+    assert zero**0 == IntPolynomial([1]) and (zero**5).is_zero
+    assert IntPolynomial([-3]) ** 5 == IntPolynomial([-243])
+    assert x**7 == IntPolynomial([0] * 7 + [1])
+    assert IntPolynomial([5, 7]) ** np.int64(2) == IntPolynomial([25, 70, 49])
+    with pytest.raises(ValueError):
+        x ** -1
+    with pytest.raises(TypeError):
+        x ** 2.0
+
+
+def test_power_of_x_minus_one_is_binomial():
+    m = 2000
+    expected = [math.comb(m, k) * (-1) ** (m - k) for k in range(m + 1)]
+    assert (IntPolynomial([-1, 1]) ** m).coeffs == tuple(expected)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(wide_polys(), polys(max_degree=3))
+def test_composition_matches_the_expanded_sum(p, q):
+    expected, power = IntPolynomial([]), IntPolynomial([1])
+    for c in p.coeffs:
+        expected = expected + IntPolynomial(schoolbook_product(power.coeffs, [c]))
+        power = IntPolynomial(schoolbook_product(power.coeffs, q.coeffs))
+    assert _compose(p, q) == expected

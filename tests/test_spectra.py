@@ -34,6 +34,7 @@ from oracles import (
     fraction_claim_polynomial,
     hessenberg_det_mod,
     hessenberg_mod_reference,
+    schoolbook_product,
 )
 
 
@@ -254,7 +255,7 @@ def test_gamma1_route_equals_the_adjacency_route(catalog_designs, kernel_calls):
         g = gamma1(d).graph
         del orders[:]
         route = char_poly(g)
-        assert set(orders) == {d.v + d.b}
+        assert set(orders) == {min(d.v, d.b)}
         del orders[:]
         assert char_poly(Graph(g.n, g.edges)) == route
         assert set(orders) == {g.n}
@@ -317,6 +318,78 @@ def test_line_graph_route_matches_berkowitz(name, kernel_calls):
     assert bound * bound >= sum(c * c for c in berkowitz_matrix_charpoly(shifted))
 
 
+def _complete_bipartite(a: int, c: int) -> Graph:
+    return Graph(a + c, [(i, a + j) for i in range(a) for j in range(c)])
+
+
+def _reduction_roots():
+    """name -> (root, order of the smaller colour class)."""
+    from flagspec.catalog import get_design
+    from flagspec.designs import incidence_graph
+
+    cube = Graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
+    torus = Graph(24, [(6 * i + j, 6 * ((i + di) % 4) + (j + dj) % 6)
+                       for i in range(4) for j in range(6) for di, dj in ((1, 0), (0, 1))])
+    roots = {f"K{a},{c}": (_complete_bipartite(a, c), min(a, c))
+             for a, c in ((2, 2), (2, 3), (3, 5), (4, 6), (5, 3))}
+    # C8, C10, the cube and the torus have equal side degrees
+    roots.update({"C8": (cycle_graph(8), 4), "C10": (cycle_graph(10), 5),
+                  "cube": (cube, 4), "C4xC6": (torus, 12)})
+    for d in [get_design("complete-6-20-10-3-4")] + _difference_set_designs():
+        roots[f"incidence({d.v},{d.b})"] = (incidence_graph(d), min(d.v, d.b))
+    return roots
+
+
+REDUCTION_ROOTS = _reduction_roots()
+
+# bipartite roots that keep Q - 2I: one side mixes degrees 2 and 3, and a
+# union of K2,3 and K3,2 whose least vertices start on opposite sides
+FALLBACK_ROOTS = {
+    "C6+chord": Graph(6, list(cycle_graph(6).edges) + [(0, 3)]),
+    "K2,3+K3,2": Graph(10, list(_complete_bipartite(2, 3).edges)
+                       + [(u + 5, v + 5) for u, v in _complete_bipartite(3, 2).edges]),
+}
+
+
+def _line_oracle(root: Graph) -> list[int]:
+    """(x + 2)^(m - N) det(xI - (Q - 2I)) by Berkowitz and term-by-term
+    products: chi of the line graph of root."""
+    poly = berkowitz_matrix_charpoly(_shifted_signless_laplacian(root))
+    for _ in range(root.edge_count - root.n):
+        poly = schoolbook_product(poly, [2, 1])
+    return poly
+
+
+@pytest.mark.parametrize("name", REDUCTION_ROOTS)
+def test_biregular_reduction_matches_berkowitz(name, kernel_calls):
+    _, orders = kernel_calls
+    root, order = REDUCTION_ROOTS[name]
+    assert list(char_poly(line_graph(root)).coeffs) == _line_oracle(root)
+    assert set(orders) == {order}
+
+
+@pytest.mark.parametrize("name", FALLBACK_ROOTS)
+def test_bipartite_roots_that_are_not_biregular_keep_q(name, kernel_calls):
+    calls, orders = kernel_calls
+    root = FALLBACK_ROOTS[name]
+    assert list(char_poly(line_graph(root)).coeffs) == _line_oracle(root)
+    assert set(orders) == {root.n}
+    assert calls[0].tolist() == _shifted_signless_laplacian(root)
+
+
+def test_dominant_row_takes_hadamards_bound(monkeypatch):
+    # Q - 2I of K1,119 plus the edge (1, 2): one row of squares near 117^2
+    # and 119 rows near 5; the AM-GM bound alone calls for 16 primes
+    counts = []
+    real_primes = spectra._modular_primes
+    monkeypatch.setattr(spectra, "_modular_primes",
+                        lambda beyond: counts.append(len(real_primes(beyond)))
+                        or real_primes(beyond))
+    root = Graph(120, [(0, v) for v in range(1, 120)] + [(1, 2)])
+    assert char_poly(line_graph(root)) == char_poly(Graph(120, line_graph(root).edges))
+    assert counts[0] == 6
+
+
 def test_relabeled_line_graph_takes_the_adjacency_route(kernel_calls):
     _, orders = kernel_calls
     lg = line_graph(complete_graph(6))
@@ -361,6 +434,21 @@ def test_verify_spectrum_refutes_a_wrong_degree_unexpanded(monkeypatch):
     # the integrality check still comes first
     with pytest.raises(NonIntegralClaim):
         verify_spectrum(cycle_graph(4), SpectrumClaim([(ev(Fraction(1, 2)), 10**9)]))
+
+
+def test_verify_spectrum_refuses_a_graph_above_the_dense_limit_unexpanded(monkeypatch):
+    from flagspec.errors import TooManyVertices
+    from flagspec.graphs import DENSE_VERTEX_LIMIT
+
+    def refuse(_):
+        raise AssertionError("a claim on a graph above the dense limit was expanded")
+
+    monkeypatch.setattr(spectra, "claim_to_polynomial", refuse)
+    n = DENSE_VERTEX_LIMIT + 1
+    with pytest.raises(TooManyVertices):
+        verify_spectrum(Graph(n, []), SpectrumClaim([(ev(1), n)]))
+    with pytest.raises(NonIntegralClaim):
+        verify_spectrum(Graph(n, []), SpectrumClaim([(ev(Fraction(1, 2)), n)]))
 
 
 def test_cospectral_smallest_pair():
@@ -600,8 +688,8 @@ def test_coeff_bound_prime_counts(n, m, primes):
 LINE_ROUTE_PRIMES = {
     "biplane-4-3-2": 1, "biplane-7-4-2": 1, "biplane-11-5-2": 2,
     "biplane-16-6-2-D1": 3, "biplane-16-6-2-D2": 3, "biplane-16-6-2-D3": 3,
-    "fano-7-3-1": 1, "complete-6-20-10-3-4": 3,
-    "(13,4,1)": 2, "(11,5,2)": 2, "(21,5,1)": 4, "(15,7,3)": 4,
+    "fano-7-3-1": 1, "complete-6-20-10-3-4": 1,
+    "(13,4,1)": 2, "(11,5,2)": 2, "(21,5,1)": 3, "(15,7,3)": 3,
 }
 
 
@@ -651,9 +739,14 @@ def test_coeff_bound_covers_the_coefficient_norm(g):
     # the Parseval bound caps the sum of squares, not only each coefficient
     bound = spectra._coeff_bound(g.adjacency())
     assert bound * bound >= sum(c * c for c in berkowitz_charpoly(g))
-    # tr A = 0 and tr A^2 = 2m: the bound reads nothing else of A
+    # tr A = 0 and tr A^2 = 2m: the AM-GM bound reads nothing else of A,
+    # and Hadamard's bound, prod (1 + deg v), meets it on regular graphs
     square = -(-((g.n + 2 * g.edge_count) ** g.n) // g.n**g.n)
-    assert bound == math.isqrt(square - 1) + 1
+    am_gm = math.isqrt(square - 1) + 1
+    if len({g.degree(v) for v in range(g.n)}) == 1:
+        assert bound == am_gm
+    else:
+        assert bound <= am_gm
 
 
 @st.composite
