@@ -44,7 +44,7 @@ class Graph:
     asking the same instance again returns the stored (immutable) object.  A
     new Graph with equal content starts empty and computes afresh.  The
     builder of a graph may leave structure there too: line_graph stores
-    the root graph under "line_root", which char_poly reads.  relabel,
+    the root graph under "line_root", for char_poly's line route.  relabel,
     subgraph and the JSON and graph6 readers build plain graphs.
     """
 
@@ -139,7 +139,8 @@ def line_graph(g: Graph) -> Graph:
     Edges of a simple graph share at most one, so every pair of line-graph
     vertices is produced by exactly one star.  gamma1 is built as this
     graph of the incidence graph.  The result keeps g in its
-    _derived["line_root"], from which spectra.char_poly reads the spectrum.
+    _derived["line_root"] for spectra.char_poly, whose line route takes
+    the roots that are bipartite with one degree on each side.
     """
     incident = [[] for _ in range(g.n)]
     for i, (a, b) in enumerate(g.edges):

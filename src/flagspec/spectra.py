@@ -10,16 +10,15 @@ bound, which the kernel reads off the matrix it reduces (_coeff_bound).
 The cost is the number of primes times the cost per prime (Dumas, Pernet
 & Wan 2005), and the bound sets the first factor.
 
-A graph goes in as its adjacency matrix.  A line graph built by
-graphs.line_graph, whose root has N <= n vertices and m edges, goes in as
-Q - 2I, with Q the root's N-square signless Laplacian: the kernel returns
-chi_Q(x + 2), and chi_L(x) = (x + 2)^(m - N) chi_Q(x + 2)
-(_line_charpoly).  When the root is bipartite with one degree on each
-side, a Schur complement halves that again: the kernel reduces C C^T, C
-the root's biadjacency matrix, of the order of the smaller side.  gamma1
-is the line graph of the incidence graph, so its order-n problem becomes
-one of order min(v, b), the matrix N N^T of the design.  All routes end in
-the same self-checks.
+A graph goes in as its adjacency matrix, except a line graph built by
+graphs.line_graph whose root, with N vertices and m >= N edges, is
+bipartite with one degree on each side.  There chi_L(x) = (x + 2)^(m - N)
+chi_Q(x + 2), Q the root's signless Laplacian, and a Schur complement
+takes chi_Q(x + 2) from C C^T, C the root's biadjacency matrix, of the
+order of the smaller side (_line_charpoly).  gamma1 is the line graph of
+the incidence graph, so its order-n problem becomes one of order
+min(v, b), the matrix N N^T of the design.  Both routes end in the same
+self-checks.
 
 No floating point touches any verification verdict; spectrum claims carry
 eigenvalues of the form a + b*sqrt(d) and are checked by exact polynomial
@@ -238,34 +237,24 @@ def _small_primes(limit: int) -> tuple[int, ...]:
 
 def _coeff_bound(mat: np.ndarray) -> int:
     """Bound B >= |c| for every coefficient c of det(xI - M), for a
-    symmetric integer N x N matrix M: B = ceil(sqrt(S)) with S the smaller
-    of two bounds on the sum of the squared coefficients.
+    symmetric integer N x N matrix M: B = ceil(sqrt(S)), with Hadamard's
+    bound S = prod_i (1 + 2|M_ii| + sum_j M_ij^2) on the sum of the squared
+    coefficients.
 
     By Parseval on the unit circle, that sum is the mean over t of
-    |chi(e^it)|^2 = det(I - 2 cos t M + M^2) = prod_j (1 - 2 nu_j cos t +
-    nu_j^2), with the nu_j the real eigenvalues of M.
-    - AM-GM: the N factors are non-negative with mean at most 1 + s/N at
-      every t, s = 2|tr M| + tr M^2, so S <= (1 + s/N)^N.  For an adjacency
-      matrix, tr A = 0 and tr A^2 is twice the edge count.
-    - Hadamard: I - 2 cos t M + M^2 = (e^it I - M)(e^-it I - M) is positive
-      semidefinite, so its determinant is at most the product of its
-      diagonal entries, S <= prod_i (1 + 2|M_ii| + sum_j M_ij^2).  One
-      dominant row costs this bound one factor, not all N.
-    The two are equal when every row gives the same 1 + 2|M_ii| + sum_j
-    M_ij^2 and the diagonal has one sign, as for a regular graph.
+    |chi(e^it)|^2 = det((e^it I - M)(e^-it I - M)), the determinant of a
+    positive semidefinite matrix, so at most the product of its diagonal
+    entries 1 - 2 cos t M_ii + sum_j M_ij^2.  By AM-GM, S is at most
+    (1 + (2 sum_i |M_ii| + tr M^2)/N)^N, equal on regular graphs; one
+    dominant row costs S one factor, not all N.
 
-    The squares are summed in int64, without an int64 copy of M: every
-    matrix here has entries below 2**13 in magnitude (a degree is below
-    graphs.DENSE_VERTEX_LIMIT) and at most 2**26 of them, so every sum
-    stays below 2**52.
+    The squares are summed in int64 without an int64 copy of M: at most
+    2**26 entries, each below 2**13 in magnitude (a degree is below
+    graphs.DENSE_VERTEX_LIMIT), so every sum stays below 2**52.
     """
-    big_n = mat.shape[0]
     row_squares = np.einsum("ij,ij->i", mat, mat, dtype=np.int64)
-    diagonal = np.diagonal(mat).astype(np.int64)
-    total = big_n + 2 * abs(int(diagonal.sum())) + int(row_squares.sum())
-    am_gm = -(-(total**big_n) // big_n**big_n)
-    hadamard = math.prod((1 + 2 * np.abs(diagonal) + row_squares).tolist())
-    square = min(am_gm, hadamard)
+    diagonal = np.abs(np.diagonal(mat).astype(np.int64))
+    square = math.prod((1 + 2 * diagonal + row_squares).tolist())
     root = math.isqrt(square)
     return root if root * root == square else root + 1
 
@@ -304,7 +293,8 @@ def _hessenberg_mod(mat: np.ndarray, p: int) -> np.ndarray:
     through libdivide in floor_divide but not in remainder, several times
     faster.
     """
-    h = np.mod(mat.astype(np.int64), p)
+    h = mat.astype(np.int64)
+    h %= p  # in place: one n x n int64 array, not two
     n = h.shape[0]
     scratch = np.empty(n * n, dtype=np.int64)
     for col in range(n - 2):
@@ -346,14 +336,18 @@ def _charpoly_mod(h: np.ndarray, p: int) -> list[int]:
     product of the subdiagonal entries h[m+1, m] .. h[j-1, j-2] times
     chi_m; the diagonal term is m = j - 1, with the empty product.  Those
     products are kept in `suffix`, and rows before the last zero
-    subdiagonal entry, whose products are zero, are skipped.  The sum is
-    one vector-matrix product per _CHUNK rows, each term a product of two
-    residues, so every partial sum stays below 2**62 at any n.
+    subdiagonal entry lo, whose products are zero, are skipped; the table
+    holds chi_(lo+i) in row i, so its rows are the longest run of nonzero
+    subdiagonal entries plus two.  The sum is one vector-matrix product
+    per _CHUNK rows, each term a product of two residues, so every partial
+    sum stays below 2**62 at any n.
     """
     n = h.shape[0]
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)
-    polys[0, 0] = 1
     subdiagonal = [0] + np.diagonal(h, -1).tolist()  # [k] is h[k, k-1]
+    zeros = [k for k, s in enumerate(subdiagonal) if not s] + [n]
+    depth = max(b - a for a, b in zip(zeros, zeros[1:]))
+    polys = np.zeros((depth + 1, n + 1), dtype=np.int64)
+    polys[0, 0] = 1
     suffix = np.zeros(n, dtype=np.int64)
     lo = 0
     for j in range(1, n + 1):
@@ -361,16 +355,19 @@ def _charpoly_mod(h: np.ndarray, p: int) -> list[int]:
             suffix[lo : j - 1] *= subdiagonal[j - 1]
             suffix[lo : j - 1] %= p
         else:
+            polys[0, :j] = polys[j - 1 - lo, :j]
             lo = j - 1
         suffix[j - 1] = 1
         terms = h[lo:j, j - 1] * suffix[lo:j] % p
-        row = polys[j]
-        row[1 : j + 1] = polys[j - 1, :j]
-        for start in range(lo, j, _CHUNK):
-            stop = min(start + _CHUNK, j)
-            row[:j] -= terms[start - lo : stop - lo] @ polys[start:stop, :j]
+        # a reused row is zero beyond column j, but not at column 0
+        row = polys[j - lo]
+        row[0] = 0
+        row[1 : j + 1] = polys[j - 1 - lo, :j]
+        for start in range(0, j - lo, _CHUNK):
+            stop = min(start + _CHUNK, j - lo)
+            row[:j] -= terms[start:stop] @ polys[start:stop, :j]
             row[:j] %= p
-    return polys[n].tolist()
+    return polys[n - lo].tolist()
 
 
 def _charpoly_matrix(mat: np.ndarray) -> IntPolynomial:
@@ -413,48 +410,36 @@ def _biregular_sides(root: Graph) -> list[list[int]] | None:
     return sorted(sides, key=len)
 
 
-def _line_charpoly(root: Graph) -> IntPolynomial:
-    """Characteristic polynomial of the line graph of root, which has N
-    vertices and m >= N edges, from its signless Laplacian Q = D + A.
+def _line_charpoly(root: Graph, u: list[int], w: list[int]) -> IntPolynomial:
+    """Characteristic polynomial of the line graph of root (N vertices,
+    m >= N edges), whose colour classes U and W (_biregular_sides) have
+    degrees d_U and d_W, |U| <= |W|.
 
     With B the N x m vertex-edge incidence matrix, B^T B = 2I + A(L) and
-    B B^T = Q, and the two products share their nonzero eigenvalues, so
-    chi_L(x) = (x + 2)^(m - N) chi_Q(x + 2) (Cvetkovic, Rowlinson & Simic
-    2010, section 1.4), and chi_Q(x + 2) = det(xI - (Q - 2I)).
-
-    A biregular bipartite root (_biregular_sides: degree d_U on U, d_W on
-    W, |U| <= |W|), such as the incidence graph under gamma1, has
-    Q - 2I = [[aI, C], [C^T, bI]], with a = d_U - 2, b = d_W - 2 and C the
-    U x W biadjacency.  Its Schur complement gives
+    B B^T = Q = D + A share their nonzero eigenvalues, so chi_L(x) =
+    (x + 2)^(m - N) det(xI - (Q - 2I)) (Cvetkovic, Rowlinson & Simic 2010,
+    section 1.4).  Q - 2I = [[aI, C], [C^T, bI]], with a = d_U - 2,
+    b = d_W - 2 and C the U x W biadjacency, so by a Schur complement
     det(xI - (Q - 2I)) = (x - b)^(|W| - |U|) chi_{CC^T}((x - a)(x - b)),
-    so the kernel reduces CC^T, of order |U|, and the result is composed.
-    Every other root has the kernel reduce Q - 2I, whose diagonal entries
-    deg - 2 may be negative.
+    and the kernel reduces CC^T, of order |U|.
     """
-    sides = _biregular_sides(root)
-    if sides is None:
-        q = root.adjacency().astype(np.int64)
-        q[np.diag_indices(root.n)] = q.sum(axis=1) - 2
-        shifted = _charpoly_matrix(q)
-    else:
-        u, w = sides
-        a, b = root.degree(u[0]) - 2, root.degree(w[0]) - 2
-        gram = _gram(root.adjacency()[np.ix_(u, w)])
-        quadratic = IntPolynomial([a * b, -a - b, 1])
-        shifted = (IntPolynomial([-b, 1]) ** (len(w) - len(u))
-                   * _compose(_charpoly_matrix(gram), quadratic))
+    a, b = root.degree(u[0]) - 2, root.degree(w[0]) - 2
+    gram = _gram(root.adjacency()[np.ix_(u, w)])
+    quadratic = IntPolynomial([a * b, -a - b, 1])
+    shifted = (IntPolynomial([-b, 1]) ** (len(w) - len(u))
+               * _compose(_charpoly_matrix(gram), quadratic))
     return IntPolynomial([2, 1]) ** (root.edge_count - root.n) * shifted
 
 
 def char_poly(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial of the adjacency matrix of g.
 
-    A line graph whose root has at least as many edges as vertices takes
-    its polynomial from the root's signless Laplacian (_line_charpoly);
-    every other graph from its adjacency matrix.  Above
-    graphs.DENSE_VERTEX_LIMIT vertices either route raises TooManyVertices
-    before anything is allocated.  The result is kept on g, so a repeat
-    call on the same instance returns it without computing.
+    A line graph whose root has at least as many edges as vertices and
+    one degree on each side of a 2-colouring, such as gamma1, takes the
+    line route (_line_charpoly), every other graph the adjacency route.
+    Above graphs.DENSE_VERTEX_LIMIT vertices either route raises
+    TooManyVertices before anything is allocated.  The result is kept on
+    g, so a repeat call on the same instance returns it without computing.
     """
     poly = g._derived.get("char_poly")
     if poly is not None:
@@ -464,10 +449,11 @@ def char_poly(g: Graph) -> IntPolynomial:
     if n == 0:
         return IntPolynomial([1])
     root = g._derived.get("line_root")
-    if root is not None and root.n <= n:
-        poly = _line_charpoly(root)
-    else:
+    sides = None if root is None or root.n > n else _biregular_sides(root)
+    if sides is None:
         poly = _charpoly_matrix(g.adjacency())
+    else:
+        poly = _line_charpoly(root, *sides)
     # free self-checks: monic, trace zero, x^(n-2) coefficient counts edges
     if poly.degree != n or not poly.is_monic:
         raise SelfCheckFailed(f"char poly of order {n} is not monic of degree {n}")

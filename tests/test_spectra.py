@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -302,20 +305,12 @@ LINE_GRAPH_ROOTS = _line_graph_roots()
 
 @pytest.mark.parametrize("name", LINE_GRAPH_ROOTS)
 def test_line_graph_route_matches_berkowitz(name, kernel_calls):
-    calls, orders = kernel_calls
-    root = LINE_GRAPH_ROOTS[name]
-    lg = line_graph(root)
+    # no root here is bipartite with one degree on each side, so every
+    # line graph takes the adjacency route
+    _, orders = kernel_calls
+    lg = line_graph(LINE_GRAPH_ROOTS[name])
     assert list(char_poly(lg).coeffs) == berkowitz_charpoly(lg)
-    (mat,) = calls
-    if root.edge_count < root.n:
-        assert set(orders) == {lg.n}
-        return
-    assert set(orders) == {root.n}
-    shifted = _shifted_signless_laplacian(root)
-    assert mat.tolist() == shifted
-    # the kernel returns chi_Q(x + 2), bounded like any symmetric matrix
-    bound = spectra._coeff_bound(mat)
-    assert bound * bound >= sum(c * c for c in berkowitz_matrix_charpoly(shifted))
+    assert set(orders) == {lg.n}
 
 
 def _complete_bipartite(a: int, c: int) -> Graph:
@@ -342,8 +337,9 @@ def _reduction_roots():
 
 REDUCTION_ROOTS = _reduction_roots()
 
-# bipartite roots that keep Q - 2I: one side mixes degrees 2 and 3, and a
-# union of K2,3 and K3,2 whose least vertices start on opposite sides
+# bipartite roots without one degree on each side: one side mixes degrees
+# 2 and 3, and a union of K2,3 and K3,2 whose least vertices start on
+# opposite sides
 FALLBACK_ROOTS = {
     "C6+chord": Graph(6, list(cycle_graph(6).edges) + [(0, 3)]),
     "K2,3+K3,2": Graph(10, list(_complete_bipartite(2, 3).edges)
@@ -369,36 +365,41 @@ def test_biregular_reduction_matches_berkowitz(name, kernel_calls):
 
 
 @pytest.mark.parametrize("name", FALLBACK_ROOTS)
-def test_bipartite_roots_that_are_not_biregular_keep_q(name, kernel_calls):
-    calls, orders = kernel_calls
+def test_bipartite_roots_that_are_not_biregular_take_the_adjacency_route(
+        name, kernel_calls):
+    _, orders = kernel_calls
     root = FALLBACK_ROOTS[name]
-    assert list(char_poly(line_graph(root)).coeffs) == _line_oracle(root)
-    assert set(orders) == {root.n}
-    assert calls[0].tolist() == _shifted_signless_laplacian(root)
+    lg = line_graph(root)
+    assert list(char_poly(lg).coeffs) == _line_oracle(root)
+    assert set(orders) == {lg.n}
 
 
 def test_dominant_row_takes_hadamards_bound(monkeypatch):
-    # Q - 2I of K1,119 plus the edge (1, 2): one row of squares near 117^2
-    # and 119 rows near 5; the AM-GM bound alone calls for 16 primes
+    # the star K1,119: Hadamard's bound is 120 * 2^119, one factor for the
+    # centre's row; AM-GM spreads its 119 ones over all 120 rows
     counts = []
     real_primes = spectra._modular_primes
     monkeypatch.setattr(spectra, "_modular_primes",
                         lambda beyond: counts.append(len(real_primes(beyond)))
                         or real_primes(beyond))
-    root = Graph(120, [(0, v) for v in range(1, 120)] + [(1, 2)])
-    assert char_poly(line_graph(root)) == char_poly(Graph(120, line_graph(root).edges))
-    assert counts[0] == 6
+    star = Graph(120, [(0, v) for v in range(1, 120)])
+    # chi = x^118 (x^2 - 119)
+    assert char_poly(star) == IntPolynomial([0] * 118 + [-119, 0, 1])
+    assert counts == [3]
+    square = -(-((star.n + 2 * star.edge_count) ** star.n) // star.n**star.n)
+    am_gm = math.isqrt(square - 1) + 1
+    assert len(real_primes(2 * am_gm)) == 4
 
 
 def test_relabeled_line_graph_takes_the_adjacency_route(kernel_calls):
     _, orders = kernel_calls
-    lg = line_graph(complete_graph(6))
+    lg = line_graph(_complete_bipartite(3, 5))
     copy = _shuffled(lg, random.Random(3))
     copy_poly = char_poly(copy)
     assert set(orders) == {15}
     del orders[:]
     assert char_poly(lg) == copy_poly
-    assert set(orders) == {6}
+    assert set(orders) == {3}
 
 
 def test_line_graph_route_keeps_the_dense_vertex_limit(monkeypatch):
@@ -601,6 +602,14 @@ def _unit_subdiagonal(rng):
     return h
 
 
+def _zero_subdiagonal(rng):
+    # a dense upper triangle of residues just below p over an all-zero
+    # subdiagonal: the recurrence's table keeps two rows, and reuses them at
+    # every step
+    n = 300
+    return np.triu(rng.integers(P27 - (1 << 20), P27, size=(n, n)))
+
+
 def _broken_subdiagonal(rng):
     # a dense upper triangle of residues just below p over a subdiagonal
     # whose zeros cut it into short runs and one of 300 rows, longer than
@@ -613,8 +622,9 @@ def _broken_subdiagonal(rng):
     return h
 
 
-@pytest.mark.parametrize("build", [_unit_subdiagonal, _broken_subdiagonal],
-                         ids=["unit-subdiagonal", "broken-subdiagonal"])
+@pytest.mark.parametrize(
+    "build", [_unit_subdiagonal, _broken_subdiagonal, _zero_subdiagonal],
+    ids=["unit-subdiagonal", "broken-subdiagonal", "zero-subdiagonal"])
 def test_charpoly_recurrence_survives_adversarial_residues(build):
     assert spectra._CHUNK < 300  # the long run spans two chunks
     h = build(np.random.default_rng(1))
@@ -625,6 +635,30 @@ def test_charpoly_recurrence_survives_adversarial_residues(build):
         for c in reversed(coeffs):
             value = (value * x0 + c) % P27
         assert value == hessenberg_det_mod(rows, x0, P27)
+
+
+def test_edgeless_char_poly_stays_below_200_mb():
+    # in a child process, so that max RSS is this computation's own: the
+    # Hessenberg copy of 4,000 isolated vertices is 128 MB of int64, and
+    # neither a second copy nor an (n + 1)^2 recurrence table may join it.
+    # Linux carries the peak RSS of the address space that exec replaces
+    # into ru_maxrss, and a spawned child replaces its parent's, so a small
+    # launcher spawns the measured process and reports its os.wait4 rusage.
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    launcher = ("import os, sys\n"
+                "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ)\n"
+                "_, status, usage = os.wait4(pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    code = ("from flagspec.graphs import Graph\n"
+            "from flagspec.spectra import char_poly\n"
+            "raise SystemExit(char_poly(Graph(4000, [])).coeffs != (0,) * 4000 + (1,))")
+    out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    exit_code, max_rss = map(int, out.split())
+    assert exit_code == 0
+    assert max_rss < 200 * 1024  # kilobytes on Linux
 
 
 def test_hessenberg_reduction_survives_adversarial_residues():
@@ -751,14 +785,22 @@ def test_coeff_bound_covers_the_coefficient_norm(g):
 
 @st.composite
 def symmetric_matrices(draw):
-    """Symmetric integer matrices, n <= 12, with a nonzero trace and at
-    least one negative diagonal entry.  One in four is -aI: chi = (x + a)^n
-    has sum c_k^2 = sum C(n, k)^2 a^(2k) > (1 + a^2)^n for n >= 2, so the
-    bound is wrong there without its |tr M| term."""
+    """Symmetric integer matrices, n <= 12.  One in four is -aI:
+    chi = (x + a)^n has sum c_k^2 = sum C(n, k)^2 a^(2k) > (1 + a^2)^n for
+    n >= 2, so the bound is wrong there without its |M_ii| terms.  One in
+    four is the Gram matrix C C^T of a 0/1 matrix C, the matrix the line
+    route reduces.  The rest have a nonzero trace and at least one negative
+    diagonal entry."""
     n = draw(st.integers(1, 12))
-    if draw(st.integers(0, 3)) == 0:
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
         a = draw(st.integers(1, 9))
         return [[-a if i == j else 0 for j in range(n)] for i in range(n)]
+    if kind == 1:
+        bits = st.integers(0, 1)
+        width = draw(st.integers(1, 12))
+        c = [[draw(bits) for _ in range(width)] for _ in range(n)]
+        return [[sum(x * y for x, y in zip(r, s)) for s in c] for r in c]
     entries = st.integers(-9, 9)
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -775,6 +817,12 @@ def symmetric_matrices(draw):
 def test_coeff_bound_covers_symmetric_integer_matrices(rows):
     bound = spectra._coeff_bound(np.array(rows, dtype=np.int64))
     assert bound * bound >= sum(c * c for c in berkowitz_matrix_charpoly(rows))
+    n, diagonal = len(rows), [rows[i][i] for i in range(len(rows))]
+    if min(diagonal) >= 0 or max(diagonal) <= 0:
+        # with a one-signed diagonal, Hadamard's bound is within AM-GM's
+        total = n + 2 * abs(sum(diagonal)) + sum(x * x for r in rows for x in r)
+        square = -(-(total**n) // n**n)
+        assert bound <= math.isqrt(square - 1) + 1
 
 
 @pytest.mark.parametrize("beyond", [1, 2**27, 2**200, 10**300, 2**681],
