@@ -137,6 +137,8 @@ def _cmd_catalog(args):
             "provenance": entry.provenance,
             "design": design_to_json(entry.design),
         }
+    if args.id is not None:
+        raise _UsageError("catalog list takes no id")
     rows = []
     for cid in CATALOG_IDS:
         entry = get_entry(cid)

@@ -34,9 +34,19 @@ class FlagGraph:
 
 
 def gamma1(d: Design) -> FlagGraph:
-    """Flag graph: (p, c) ~ (q, d) iff p = q or c = d (and the flags differ)."""
+    """Flag graph: (p, c) ~ (q, d) iff p = q or c = d (and the flags differ).
+
+    The graph keeps (root, points, blocks) in _derived["line_root"]: the
+    incidence graph and its sides, which char_poly's line route reads.
+    """
     params = validate_design(d)
-    lg = line_graph(incidence_graph(d))
+    root = incidence_graph(d)
+    lg = line_graph(root)
+    # The route's premises hold for every validated design: each point lies
+    # in r blocks and each block holds k points; v <= b by Fisher's
+    # inequality, repeated blocks or not; and m = vr = bk >= v + b, since
+    # b(k - 1) >= b >= v, so the root has no more vertices than lg.
+    lg._derived["line_root"] = (root, range(d.v), range(d.v, d.v + d.b))
     return FlagGraph(lg, tuple(enumerate_flags(d)), params, "gamma1")
 
 

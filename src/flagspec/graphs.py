@@ -42,10 +42,9 @@ class Graph:
     derived from it: spectra.char_poly and the uncolored
     isomorphism.canonical_form keep theirs in the private _derived dict, so
     asking the same instance again returns the stored (immutable) object.  A
-    new Graph with equal content starts empty and computes afresh.  The
-    builder of a graph may leave structure there too: line_graph stores
-    the root graph under "line_root", for char_poly's line route.  relabel,
-    subgraph and the JSON and graph6 readers build plain graphs.
+    new Graph with equal content starts empty and computes afresh.  Every
+    graph built in this module starts empty; flag_graphs.gamma1 alone
+    leaves structure there, its root under "line_root".
     """
 
     __slots__ = ("n", "edges", "_neighbors", "_derived")
@@ -138,18 +137,14 @@ def line_graph(g: Graph) -> Graph:
     Two vertices are adjacent iff the underlying edges share an endpoint.
     Edges of a simple graph share at most one, so every pair of line-graph
     vertices is produced by exactly one star.  gamma1 is built as this
-    graph of the incidence graph.  The result keeps g in its
-    _derived["line_root"] for spectra.char_poly, whose line route takes
-    the roots that are bipartite with one degree on each side.
+    graph of the incidence graph, and records the root itself.
     """
     incident = [[] for _ in range(g.n)]
     for i, (a, b) in enumerate(g.edges):
         incident[a].append(i)
         incident[b].append(i)
     pairs = [pair for star in incident for pair in combinations(star, 2)]
-    lg = Graph(g.edge_count, pairs)
-    lg._derived["line_root"] = g
-    return lg
+    return Graph(g.edge_count, pairs)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

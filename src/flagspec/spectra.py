@@ -10,15 +10,14 @@ bound, which the kernel reads off the matrix it reduces (_coeff_bound).
 The cost is the number of primes times the cost per prime (Dumas, Pernet
 & Wan 2005), and the bound sets the first factor.
 
-A graph goes in as its adjacency matrix, except a line graph built by
-graphs.line_graph whose root, with N vertices and m >= N edges, is
-bipartite with one degree on each side.  There chi_L(x) = (x + 2)^(m - N)
-chi_Q(x + 2), Q the root's signless Laplacian, and a Schur complement
-takes chi_Q(x + 2) from C C^T, C the root's biadjacency matrix, of the
-order of the smaller side (_line_charpoly).  gamma1 is the line graph of
-the incidence graph, so its order-n problem becomes one of order
-min(v, b), the matrix N N^T of the design.  Both routes end in the same
-self-checks.
+A graph goes in as its adjacency matrix, except gamma1, the line graph of
+a design's incidence graph, which records that root (N vertices, m >= N
+edges) and its two sides, with one degree on each.  There chi_L(x) =
+(x + 2)^(m - N) chi_Q(x + 2), Q the root's signless Laplacian, and a
+Schur complement takes chi_Q(x + 2) from C C^T, C the root's
+biadjacency matrix, of the order of the smaller side (_line_charpoly).
+So gamma1's order-n problem becomes one of order min(v, b), the matrix
+N N^T of the design.  Both routes end in the same self-checks.
 
 No floating point touches any verification verdict; spectrum claims carry
 eigenvalues of the form a + b*sqrt(d) and are checked by exact polynomial
@@ -34,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -386,33 +386,9 @@ def _charpoly_matrix(mat: np.ndarray) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
-def _biregular_sides(root: Graph) -> list[list[int]] | None:
-    """The colour classes [U, W], |U| <= |W|, of root's 2-colouring when
-    all of U has one degree and all of W one degree, else None.  The least
-    vertex of each component takes colour 0, so components whose sides
-    have each other's degrees make the colouring fail."""
-    colour = [-1] * root.n
-    for start in range(root.n):
-        if colour[start] >= 0:
-            continue
-        colour[start] = 0
-        queue = [start]
-        for v in queue:  # grows while it is read: breadth first
-            for w in root.neighbors(v):
-                if colour[w] < 0:
-                    colour[w] = 1 - colour[v]
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return None
-    sides = [[v for v in range(root.n) if colour[v] == c] for c in (0, 1)]
-    if any(len({root.degree(v) for v in side}) != 1 for side in sides):
-        return None
-    return sorted(sides, key=len)
-
-
-def _line_charpoly(root: Graph, u: list[int], w: list[int]) -> IntPolynomial:
+def _line_charpoly(root: Graph, u: Sequence[int], w: Sequence[int]) -> IntPolynomial:
     """Characteristic polynomial of the line graph of root (N vertices,
-    m >= N edges), whose colour classes U and W (_biregular_sides) have
+    m >= N edges), bipartite on the sides U and W recorded by gamma1, with
     degrees d_U and d_W, |U| <= |W|.
 
     With B the N x m vertex-edge incidence matrix, B^T B = 2I + A(L) and
@@ -434,9 +410,8 @@ def _line_charpoly(root: Graph, u: list[int], w: list[int]) -> IntPolynomial:
 def char_poly(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial of the adjacency matrix of g.
 
-    A line graph whose root has at least as many edges as vertices and
-    one degree on each side of a 2-colouring, such as gamma1, takes the
-    line route (_line_charpoly), every other graph the adjacency route.
+    gamma1, which records its root and the root's sides, takes the line
+    route (_line_charpoly); every other graph takes the adjacency route.
     Above graphs.DENSE_VERTEX_LIMIT vertices either route raises
     TooManyVertices before anything is allocated.  The result is kept on
     g, so a repeat call on the same instance returns it without computing.
@@ -448,12 +423,11 @@ def char_poly(g: Graph) -> IntPolynomial:
     _check_dense(n)
     if n == 0:
         return IntPolynomial([1])
-    root = g._derived.get("line_root")
-    sides = None if root is None or root.n > n else _biregular_sides(root)
-    if sides is None:
+    line = g._derived.get("line_root")
+    if line is None:
         poly = _charpoly_matrix(g.adjacency())
     else:
-        poly = _line_charpoly(root, *sides)
+        poly = _line_charpoly(*line)
     # free self-checks: monic, trace zero, x^(n-2) coefficient counts edges
     if poly.degree != n or not poly.is_monic:
         raise SelfCheckFailed(f"char poly of order {n} is not monic of degree {n}")

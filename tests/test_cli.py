@@ -45,6 +45,12 @@ def test_catalog_show_requires_id(capsys):
     assert obj["error"]["type"] == "usage"
 
 
+def test_catalog_list_refuses_an_id(capsys):
+    code, obj = run_json(capsys, "catalog", "list", "fano-7-3-1")
+    assert code == 3
+    assert obj["error"]["type"] == "usage"
+
+
 def test_validate_catalog_reference(capsys):
     code, obj = run_json(capsys, "validate", "catalog:complete-6-20-10-3-4")
     assert code == 0
@@ -422,6 +428,18 @@ def test_graph_file_vertex_limit_exits_two(capsys, tmp_path):
     assert obj["error"]["type"] == "TooManyVertices"
     assert "graph-file limit" in obj["error"]["message"]
     assert "258047" in obj["error"]["message"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "graph6"])
+def test_incidence_above_the_graph_file_limit_exits_two(capsys, tmp_path, fmt):
+    # refused before the 4,000,001 neighbor lists are built, so the CLI
+    # writes no graph file that components would then refuse
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"v": 4_000_000, "blocks": [[0, 1]]}))
+    code, obj = run_json(capsys, "incidence", str(path), "--format", fmt)
+    assert code == 2
+    assert obj["error"]["type"] == "TooManyVertices"
+    assert "graph-file limit" in obj["error"]["message"]
 
 
 def test_iso_above_the_canonical_form_limit_exits_two(capsys, tmp_path):

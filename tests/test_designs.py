@@ -24,6 +24,7 @@ from flagspec.errors import (
     PairCountMismatch,
     RepeatedBlock,
     SelfCheckFailed,
+    TooManyVertices,
     TrivialDesign,
     UnequalBlockSizes,
 )
@@ -276,6 +277,14 @@ def test_incidence_graph_shape(catalog_designs):
         assert all(
             (u < p.v) != (w < p.v) for u, w in g.edges
         )
+
+
+def test_incidence_graph_refuses_more_vertices_than_a_graph_file_holds():
+    # v + b vertices, checked before Graph builds one neighbor list each,
+    # so every incidence graph written to a file reads back
+    assert incidence_graph(Design(258046, [[0, 1]])).n == 258047
+    with pytest.raises(TooManyVertices, match="graph-file limit"):
+        incidence_graph(Design(258047, [[0, 1]]))
 
 
 def test_design_json_round_trip():

@@ -153,14 +153,21 @@ def test_line_graph_small_cases():
                 assert lg.has_edge(i, j) == bool(set(g.edges[i]) & set(g.edges[j]))
 
 
-def test_only_line_graph_records_its_root():
-    root = cycle_graph(5)
-    lg = line_graph(root)
-    assert lg._derived["line_root"] is root
-    for copy in (lg.relabel(range(5)), lg.subgraph(range(5)),
-                 graph_from_graph6(graph_to_graph6(lg)),
-                 graph_from_json(graph_to_json(lg))):
-        assert copy == lg
+def test_only_gamma1_records_its_root():
+    from flagspec.catalog import get_design
+    from flagspec.designs import incidence_graph
+    from flagspec.flag_graphs import gamma1
+
+    d = get_design("fano-7-3-1")
+    assert line_graph(incidence_graph(d))._derived == {}
+    g = gamma1(d).graph
+    root, points, blocks = g._derived["line_root"]
+    assert root == incidence_graph(d)
+    assert (points, blocks) == (range(7), range(7, 14))
+    for copy in (g.relabel(range(g.n)), g.subgraph(range(g.n)),
+                 graph_from_graph6(graph_to_graph6(g)),
+                 graph_from_json(graph_to_json(g))):
+        assert copy == g
         assert "line_root" not in copy._derived
 
 

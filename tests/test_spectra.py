@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
 import sympy
@@ -337,9 +338,9 @@ def _reduction_roots():
 
 REDUCTION_ROOTS = _reduction_roots()
 
-# bipartite roots without one degree on each side: one side mixes degrees
-# 2 and 3, and a union of K2,3 and K3,2 whose least vertices start on
-# opposite sides
+# bipartite roots: C6 + chord has a side that mixes degrees 2 and 3, and
+# K2,3 + K3,2 has one degree per side only when the sides of its two
+# components are chosen to match
 FALLBACK_ROOTS = {
     "C6+chord": Graph(6, list(cycle_graph(6).edges) + [(0, 3)]),
     "K2,3+K3,2": Graph(10, list(_complete_bipartite(2, 3).edges)
@@ -360,8 +361,20 @@ def _line_oracle(root: Graph) -> list[int]:
 def test_biregular_reduction_matches_berkowitz(name, kernel_calls):
     _, orders = kernel_calls
     root, order = REDUCTION_ROOTS[name]
-    assert list(char_poly(line_graph(root)).coeffs) == _line_oracle(root)
+    sides = nx.bipartite.sets(nx.Graph(root.edges))
+    u, w = sorted((sorted(side) for side in sides), key=len)
+    assert list(spectra._line_charpoly(root, u, w).coeffs) == _line_oracle(root)
     assert set(orders) == {order}
+
+
+@pytest.mark.parametrize("name", REDUCTION_ROOTS)
+def test_line_graph_alone_takes_the_adjacency_route(name, kernel_calls):
+    # line_graph records no root, so only gamma1 takes the line route
+    _, orders = kernel_calls
+    root, _ = REDUCTION_ROOTS[name]
+    lg = line_graph(root)
+    assert list(char_poly(lg).coeffs) == _line_oracle(root)
+    assert set(orders) == {lg.n}
 
 
 @pytest.mark.parametrize("name", FALLBACK_ROOTS)
@@ -391,26 +404,30 @@ def test_dominant_row_takes_hadamards_bound(monkeypatch):
     assert len(real_primes(2 * am_gm)) == 4
 
 
-def test_relabeled_line_graph_takes_the_adjacency_route(kernel_calls):
+def test_relabeled_line_graph_takes_the_adjacency_route(catalog_designs, kernel_calls):
+    from flagspec.flag_graphs import gamma1
+
     _, orders = kernel_calls
-    lg = line_graph(_complete_bipartite(3, 5))
-    copy = _shuffled(lg, random.Random(3))
+    d = catalog_designs["complete-6-20-10-3-4"]
+    g = gamma1(d).graph
+    copy = _shuffled(g, random.Random(3))
     copy_poly = char_poly(copy)
-    assert set(orders) == {15}
+    assert set(orders) == {g.n}
     del orders[:]
-    assert char_poly(lg) == copy_poly
-    assert set(orders) == {3}
+    assert char_poly(g) == copy_poly
+    assert set(orders) == {min(d.v, d.b)}
 
 
-def test_line_graph_route_keeps_the_dense_vertex_limit(monkeypatch):
+def test_line_graph_route_keeps_the_dense_vertex_limit(catalog_designs, monkeypatch):
     from flagspec import graphs
     from flagspec.errors import TooManyVertices
+    from flagspec.flag_graphs import gamma1
 
-    # the root of L(K7) has 7 vertices, L(K7) itself 21
+    # the root of gamma1 of the Fano plane has 14 vertices, gamma1 itself 21
     monkeypatch.setattr(graphs, "DENSE_VERTEX_LIMIT", 20)
-    lg = graphs.line_graph(complete_graph(7))
+    g = gamma1(catalog_designs["fano-7-3-1"]).graph
     with pytest.raises(TooManyVertices):
-        char_poly(lg)
+        char_poly(g)
 
 
 # ---------------------------------------------------------------------------
