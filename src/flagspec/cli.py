@@ -264,7 +264,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--pretty", action="store_true", help="indent JSON output (report: a text table)")
 
-    parser = _Parser(prog="flagspec", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="flagspec", description="Command line front-end.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[common], help="check a design and print its parameters")

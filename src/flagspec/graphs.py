@@ -322,11 +322,17 @@ def graph_from_graph6(s: str | bytes) -> Graph:
     bad = (raw < 63) | (raw > 126)
     if bad.any():
         raise ValueError(f"graph6 byte {int(raw[bad][0])} out of range")
-    bits = np.unpackbits((raw - 63)[:, None], axis=1)[:, 2:].ravel()
-    if bits[nbits:].any():
+    # unpack only the bytes that hold a set bit, so memory follows the
+    # file and the edges, not the n(n - 1)/2 pairs
+    hit = np.flatnonzero(raw != 63)
+    byte, bit = np.nonzero(np.unpackbits((raw[hit] - 63)[:, None], axis=1)[:, 2:])
+    pos = 6 * hit[byte] + bit  # ascending
+    if pos.size and pos[-1] >= nbits:
         raise ValueError("nonzero padding bits in graph6 body")
-    # row-major lower-triangle pairs (hi, lo) follow the encoder's
-    # column-major upper-triangle bit order (lo, hi)
-    hi, lo = np.tril_indices(n, -1)
-    on = bits[:nbits].astype(bool)
-    return Graph(n, zip(lo[on].tolist(), hi[on].tolist()))
+    # invert the encoder's position C(hi, 2) + lo: the float root is off by
+    # at most one either way
+    hi = ((1 + np.sqrt(8 * pos + 1)) / 2).astype(np.int64)
+    hi -= hi * (hi - 1) // 2 > pos
+    hi += hi * (hi + 1) // 2 <= pos
+    lo = pos - hi * (hi - 1) // 2
+    return Graph(n, zip(lo.tolist(), hi.tolist()))

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -6,6 +10,7 @@ import pytest
 
 import flagspec.cli as cli
 from flagspec import spectra
+from flagspec.catalog import BIPLANE_IDS, CATALOG_IDS
 from flagspec.graphs import Graph, graph_from_graph6, graph_to_graph6, graph_to_json
 from flagspec.reporting import CriterionResult, ReproductionReport
 
@@ -442,6 +447,26 @@ def test_incidence_above_the_graph_file_limit_exits_two(capsys, tmp_path, fmt):
     assert "graph-file limit" in obj["error"]["message"]
 
 
+def test_incidence_of_a_hundred_million_points_exits_two_within_1_5_gb(tmp_path):
+    # in a child process capped at 1.5 GB of address space: the refusal
+    # comes before anything of order v is allocated
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"v": 100_000_000, "blocks": [[0, 1]]}))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cap():
+        limit = 1_500_000 * 1024
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    child = subprocess.run(
+        [sys.executable, "-m", "flagspec.cli", "incidence", str(path)],
+        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 2, child.stderr
+    assert json.loads(child.stdout)["error"]["type"] == "TooManyVertices"
+
+
 def test_iso_above_the_canonical_form_limit_exits_two(capsys, tmp_path):
     # one past the limit: refused before any search, which at this order
     # would run 16,385 one-vertex searches and a 134 MB certificate array
@@ -567,14 +592,22 @@ def test_graph6_files_of_every_order_read_back(capsys, tmp_path, n, prefix):
     assert sum(from_g6["sizes"]) == n
 
 
-def test_sixty_flag_gamma1_reads_back(capsys, tmp_path):
-    code, out = run(capsys, "gamma1", "catalog:complete-6-20-10-3-4",
-                    "--format", "graph6")
-    assert code == 0 and out.startswith("{")
+@pytest.mark.parametrize("command, cid", [
+    (command, cid) for cid in CATALOG_IDS for command in ("gamma1", "incidence", "gamma2")
+    if command != "gamma2" or cid in BIPLANE_IDS])
+def test_every_graph6_file_the_cli_writes_reads_back(capsys, tmp_path, command, cid):
+    # gamma1 of complete-6-20-10-3-4 has 60 flags, and its header byte '{'
+    # once sent the file to the JSON reader
+    code, built = run_json(capsys, command, f"catalog:{cid}")
+    assert code == 0
+    code, out = run(capsys, command, f"catalog:{cid}", "--format", "graph6")
+    assert code == 0
     path = tmp_path / "g.g6"
     path.write_text(out)
+    code, obj = run_json(capsys, "components", str(path))
+    assert code == 0 and sum(obj["sizes"]) == built["n"]
     code, obj = run_json(capsys, "charpoly", str(path))
-    assert code == 0 and obj["n"] == 60
+    assert code == 0 and obj["n"] == built["n"]
     code, obj = run_json(capsys, "iso", str(path), str(path))
     assert code == 0 and obj["isomorphic"] is True
 

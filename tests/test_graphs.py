@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -265,6 +266,23 @@ def test_graph6_extended_header_round_trip():
     s = graph_to_graph6(g)
     assert s.startswith("~")
     assert graph_from_graph6(s) == g
+
+
+def test_graph6_reader_memory_follows_the_file():
+    # the path on 8,000 vertices is a 5.3 MB file; a bit per vertex pair
+    # held as a byte, with its pair indices, peaked at 624 MB
+    n = 8000
+    path = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    s = graph_to_graph6(path)
+    tracemalloc.start()
+    try:
+        back = graph_from_graph6(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert back.edges[-1] == (n - 2, n - 1)
+    assert back == path
 
 
 def test_json_rejects_non_integer_endpoints():

@@ -251,10 +251,17 @@ def _difference_set_designs():
 
 
 def test_gamma1_route_equals_the_adjacency_route(catalog_designs, kernel_calls):
+    from flagspec.designs import design_from_difference_set
     from flagspec.flag_graphs import gamma1
 
     calls, orders = kernel_calls
-    designs = list(catalog_designs.values()) + _difference_set_designs()
+    # the (19,9,4), (23,11,5) and (37,9,2) designs take the adjacency route
+    # at 171, 253 and 333 vertices, only here
+    designs = list(catalog_designs.values()) + _difference_set_designs() + [
+        design_from_difference_set(v, base) for v, base in (
+            (19, [1, 4, 5, 6, 7, 9, 11, 16, 17]),
+            (23, [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]),
+            (37, [1, 7, 9, 10, 12, 16, 26, 33, 34]))]
     for d in designs:
         g = gamma1(d).graph
         del orders[:]
