@@ -7,7 +7,7 @@ table).  Decisions double as exit codes so shell scripts need no JSON parsing:
     0  success / positive decision
     1  negative decision (not isomorphic, not cospectral, claim refuted)
     2  validation error (bad design, malformed input object)
-    3  usage or file error
+    3  usage or file error, a closed stdout included
 
 Designs are referenced either by a JSON file path or as catalog:<id>;
 graphs by a file containing either the JSON form or a graph6 line.
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 
 from .catalog import CATALOG_IDS, REFERENCE_GRAPH_NAMES, get_entry
 from .designs import (
@@ -366,7 +368,13 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         _emit_error("format", str(exc), pretty)
         return 2
-    _emit(payload, pretty)
+    try:
+        _emit(payload, pretty)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the interpreter's
+        # final flush of the unwritten rest cannot fail, and exit as a file error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     return code
 
 

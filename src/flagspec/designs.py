@@ -19,11 +19,10 @@ from .errors import (
     PairCountMismatch,
     RepeatedBlock,
     SelfCheckFailed,
-    TooManyVertices,
     TrivialDesign,
     UnequalBlockSizes,
 )
-from .graphs import _G6_MAX_N, Graph, _check_dense, _gram, _json_int
+from .graphs import Graph, _check_dense, _gram, _json_int
 
 
 @dataclass(frozen=True)
@@ -207,13 +206,8 @@ def enumerate_flags(d: Design) -> list[Flag]:
 
 
 def incidence_graph(d: Design) -> Graph:
-    """Bipartite graph on points then blocks: vertex v + j is block j."""
-    if d.v + d.b > _G6_MAX_N:
-        # refused before Graph builds one neighbor list per vertex, so every
-        # incidence graph fits a graph file that the readers accept
-        raise TooManyVertices(
-            d.v + d.b, _G6_MAX_N, "the graph-file limit (graph6's largest order)"
-        )
+    """Bipartite graph on points then blocks: vertex v + j is block j.
+    Graph refuses v + b above graph6's largest order."""
     edges = [(p, d.v + j) for j, blk in enumerate(d.blocks) for p in blk]
     return Graph(d.v + d.b, edges)
 

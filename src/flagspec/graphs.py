@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -34,9 +35,11 @@ def _check_dense(n: int):
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1.
 
-    Edges are stored as a sorted tuple of (i, j) pairs with i < j, plus one
+    Edges are stored as a sorted tuple of int pairs (i, j) with i < j, again
+    as _ends, a read-only (m, 2) int64 array of the same pairs, and as one
     sorted neighbor tuple per vertex for traversals; pair counts and spectra
-    read the dense adjacency() matrix instead.
+    read the dense adjacency() matrix instead.  Above graph6's largest order
+    the constructor raises TooManyVertices before it builds anything.
 
     Since nothing changes after construction, an instance also holds results
     derived from it: spectra.char_poly and the uncolored
@@ -47,21 +50,31 @@ class Graph:
     leaves structure there, its root under "line_root".
     """
 
-    __slots__ = ("n", "edges", "_neighbors", "_derived")
+    __slots__ = ("n", "edges", "_ends", "_neighbors", "_derived")
 
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
+        if n > _G6_MAX_N:
+            raise TooManyVertices(
+                n, _G6_MAX_N, "the graph-file limit (graph6's largest order)"
+            )
+        index = operator.index
         seen = set()
         for e in edges:
             i, j = e
-            if i == j:
-                raise ValueError(f"loop at vertex {i}")
-            if not (0 <= i < n and 0 <= j < n):
+            if i > j:
+                i, j = j, i
+            if not 0 <= i < j < n:
+                if i == j:
+                    raise ValueError(f"loop at vertex {i}")
                 raise ValueError(f"edge {e} out of range for n={n}")
-            seen.add((i, j) if i < j else (j, i))
+            seen.add((index(i), index(j)))
         self.n = n
         self.edges = tuple(sorted(seen))
+        ends = np.fromiter(chain.from_iterable(self.edges), np.int64, 2 * len(seen))
+        self._ends = ends.reshape(-1, 2)
+        self._ends.flags.writeable = False
         nbrs = [[] for _ in range(n)]
         for i, j in self.edges:
             nbrs[i].append(j)
@@ -105,7 +118,7 @@ class Graph:
         above DENSE_VERTEX_LIMIT."""
         _check_dense(self.n)
         a = np.zeros((self.n, self.n), dtype=np.uint8)
-        i, j = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        i, j = self._ends.T
         a[i, j] = a[j, i] = 1
         return a
 
@@ -136,14 +149,15 @@ def line_graph(g: Graph) -> Graph:
 
     Two vertices are adjacent iff the underlying edges share an endpoint.
     Edges of a simple graph share at most one, so every pair of line-graph
-    vertices is produced by exactly one star.  gamma1 is built as this
-    graph of the incidence graph, and records the root itself.
+    vertices is produced by exactly one star.  Graph gets them from a
+    generator, so it refuses too many edges before any pair is made.
+    gamma1 is built as this graph of the incidence graph, and records it.
     """
     incident = [[] for _ in range(g.n)]
     for i, (a, b) in enumerate(g.edges):
         incident[a].append(i)
         incident[b].append(i)
-    pairs = [pair for star in incident for pair in combinations(star, 2)]
+    pairs = (pair for star in incident for pair in combinations(star, 2))
     return Graph(g.edge_count, pairs)
 
 
@@ -228,6 +242,8 @@ def _json_int(x) -> bool:
 
 
 def graph_from_json(obj) -> Graph:
+    """Graph from its JSON object or string; Graph itself refuses more
+    vertices than graph6 holds."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, dict) or "n" not in obj or "edges" not in obj:
@@ -235,11 +251,6 @@ def graph_from_json(obj) -> Graph:
     n = obj["n"]
     if not _json_int(n):
         raise ValueError("'n' must be an integer")
-    if n > _G6_MAX_N:
-        # refused before Graph builds one neighbor list per vertex
-        raise TooManyVertices(
-            n, _G6_MAX_N, "the graph-file limit (graph6's largest order)"
-        )
     edges = []
     for e in obj["edges"]:
         if not (
@@ -266,18 +277,15 @@ _PACK = np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
 
 
 def graph_to_graph6(g: Graph) -> str:
-    ends = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    return _graph6(g.n, ends[:, 0], ends[:, 1]).decode("ascii")
+    return _graph6(g.n, g._ends[:, 0], g._ends[:, 1]).decode("ascii")
 
 
 def _graph6(n: int, a: np.ndarray, b: np.ndarray) -> bytes:
     """graph6 bytes of the graph on 0..n-1 with edges (a[e], b[e]).
 
     The single encoder behind graph_to_graph6 and the canonical
-    certificates; endpoints may come in either order.
+    certificates; endpoints may come in either order, and n is a Graph's.
     """
-    if n < 0 or n > _G6_MAX_N:
-        raise ValueError(f"graph6 supports 0 <= n <= {_G6_MAX_N}, got {n}")
     if n <= 62:
         header = bytes([n + 63])
     else:

@@ -148,7 +148,7 @@ def _search(g: Graph, base: list[int]) -> tuple[bytes, tuple[int, ...]]:
     bounded by the interpreter's recursion limit; the path to the current
     leaf is the last candidate branched on at each level."""
     n = g.n
-    earr = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    earr = g._ends
     src = np.concatenate([earr[:, 0], earr[:, 1]])
     dst = np.concatenate([earr[:, 1], earr[:, 0]])
     weight = _color_weights(n, int(np.bincount(src, minlength=n).max()))
@@ -234,8 +234,7 @@ def _assemble_components(g: Graph, parts) -> tuple[bytes, tuple[int, ...]]:
         for local, v in enumerate(vertices):
             perm_whole[v] = offset + perm[local]
         offset += size
-    earr = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    ends = np.array(perm_whole, dtype=np.int64)[earr]
+    ends = np.array(perm_whole, dtype=np.int64)[g._ends]
     return _graph6(g.n, ends[:, 0], ends[:, 1]), tuple(perm_whole)
 
 

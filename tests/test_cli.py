@@ -447,14 +447,18 @@ def test_incidence_above_the_graph_file_limit_exits_two(capsys, tmp_path, fmt):
     assert "graph-file limit" in obj["error"]["message"]
 
 
+def _child_env() -> dict:
+    """Environment of a CLI child process that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_incidence_of_a_hundred_million_points_exits_two_within_1_5_gb(tmp_path):
     # in a child process capped at 1.5 GB of address space: the refusal
     # comes before anything of order v is allocated
     path = tmp_path / "wide.json"
     path.write_text(json.dumps({"v": 100_000_000, "blocks": [[0, 1]]}))
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
     def cap():
         limit = 1_500_000 * 1024
@@ -462,9 +466,28 @@ def test_incidence_of_a_hundred_million_points_exits_two_within_1_5_gb(tmp_path)
 
     child = subprocess.run(
         [sys.executable, "-m", "flagspec.cli", "incidence", str(path)],
-        env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        env=_child_env(), preexec_fn=cap, capture_output=True, text=True, timeout=60)
     assert child.returncode == 2, child.stderr
     assert json.loads(child.stdout)["error"]["type"] == "TooManyVertices"
+
+
+def test_closed_stdout_exits_three_quietly(tmp_path):
+    # gamma1 of QR(31) is 79,505 bytes of JSON, more than a 64 KiB pipe
+    # holds, so the write meets the closed pipe whenever the reader stops
+    from flagspec.designs import design_from_difference_set, design_to_json
+
+    residues = sorted({x * x % 31 for x in range(1, 31)})
+    path = tmp_path / "qr31.json"
+    path.write_text(json.dumps(design_to_json(design_from_difference_set(31, residues))))
+    with subprocess.Popen(
+        [sys.executable, "-m", "flagspec.cli", "gamma1", str(path)],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as child:
+        assert child.stdout.read(10) == b'{"n": 465,'
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 3, err
+    assert err == b""
 
 
 def test_iso_above_the_canonical_form_limit_exits_two(capsys, tmp_path):

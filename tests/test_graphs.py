@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import time
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flagspec import graphs
 from flagspec.errors import TooManyVertices
 from flagspec.graphs import (
+    _G6_MAX_N,
     DENSE_VERTEX_LIMIT,
     Graph,
     _gram,
@@ -47,6 +50,85 @@ def test_graph_construction_rules():
         Graph(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(-1, [])
+
+
+def _peak_while_refused(build) -> int:
+    """tracemalloc peak, in bytes, of build() raising the graph-file limit."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooManyVertices, match="graph-file limit"):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_graph_refuses_more_vertices_than_graph6_holds():
+    # refused before a neighbor list is built: 258,048 of them take ~16 MB
+    assert _peak_while_refused(lambda: Graph(_G6_MAX_N + 1, [])) < 2**20
+    assert Graph(_G6_MAX_N, []).n == _G6_MAX_N
+
+
+def test_every_builder_meets_the_graph_gate(monkeypatch):
+    from flagspec.catalog import get_design
+    from flagspec.flag_graphs import gamma1, gamma2
+
+    g = cycle_graph(30)
+    fano, d1 = get_design("fano-7-3-1"), get_design("biplane-16-6-2-D1")
+    monkeypatch.setattr(graphs, "_G6_MAX_N", 20)
+    for build in (lambda: g.relabel(list(range(30))),
+                  lambda: g.subgraph(range(21)),
+                  lambda: gamma1(fano),  # 14 incidence vertices, 21 flags
+                  lambda: gamma2(d1)):   # 96 flags
+        with pytest.raises(TooManyVertices, match="graph-file limit"):
+            build()
+    assert g.subgraph(range(20)).n == 20
+
+
+def test_line_graph_is_refused_before_its_pairs_are_made(monkeypatch):
+    # K1,1000 has 499,500 line-graph pairs, tens of MB as a list; at
+    # K1,3000 (4.5 M pairs) the list peaked at 824 MB
+    star = Graph(1001, [(0, i) for i in range(1, 1001)])
+    monkeypatch.setattr(graphs, "_G6_MAX_N", 999)
+    assert _peak_while_refused(lambda: line_graph(star)) < 2 * 2**20
+
+
+def test_edge_array_matches_the_edges_for_every_builder():
+    from flagspec.catalog import get_design
+    from flagspec.designs import incidence_graph
+    from flagspec.flag_graphs import gamma1, gamma2
+
+    g = _random_graph(12, 0.3, random.Random(12))
+    built = [
+        Graph(0, []), Graph(5, []), g, cycle_graph(7), complete_graph(6),
+        line_graph(g), line_graph(Graph(3, [])), g.relabel(list(range(12))[::-1]),
+        g.subgraph(range(0, 12, 2)), g.subgraph([]),
+        incidence_graph(get_design("fano-7-3-1")),
+        gamma1(get_design("fano-7-3-1")).graph,
+        gamma2(get_design("biplane-16-6-2-D1")).graph,
+        graph_from_json(graph_to_json(g)), graph_from_json({"n": 4, "edges": []}),
+        graph_from_graph6(graph_to_graph6(g)), graph_from_graph6("C?"),
+    ]
+    for h in built:
+        assert h._ends.dtype == np.int64 and h._ends.shape == (h.edge_count, 2)
+        assert np.array_equal(h._ends, np.array(h.edges).reshape(-1, 2))
+        assert not h._ends.flags.writeable
+
+
+def test_graph_endpoints_become_ints():
+    # numpy integers from a permutation array, and bools, used to stay as
+    # given: json.dumps raised on the first, and the reader refused the
+    # second's true as a bad edge entry
+    for g, edges in ((Graph(3, [(0, 1)]).relabel(np.array([2, 0, 1])), [[0, 2]]),
+                     (Graph(3, [(True, 2)]), [[1, 2]]),
+                     (Graph(3, [(np.int32(2), np.uint8(0))]), [[0, 2]])):
+        assert all(type(x) is int for e in g.edges for x in e)
+        text = json.dumps(graph_to_json(g))
+        assert json.loads(text)["edges"] == edges
+        assert graph_from_json(text) == g
+        assert graph_from_graph6(graph_to_graph6(g)) == g
+    with pytest.raises(TypeError):
+        Graph(3, [(0, 1.0)])
 
 
 def test_neighbors_and_degrees():
