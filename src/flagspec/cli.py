@@ -343,33 +343,36 @@ def _emit(payload, pretty: bool):
         print(json.dumps(payload, indent=2 if pretty else None))
 
 
-def _emit_error(kind: str, message: str, pretty: bool):
-    _emit({"error": {"type": kind, "message": message}}, pretty)
+def _error(kind: str, message: str) -> dict:
+    return {"error": {"type": kind, "message": message}}
 
 
-def main(argv=None) -> int:
+def _decide(argv) -> tuple[int, object, bool]:
+    """Exit code, payload and --pretty of one invocation; a failure becomes
+    an error object."""
     try:
         args = _build_parser().parse_args(argv)
     except _UsageError as exc:
-        _emit_error("usage", str(exc), False)
-        return 3
+        return 3, _error("usage", str(exc)), False
     pretty = getattr(args, "pretty", False)
     try:
         code, payload = args.handler(args)
     except _UsageError as exc:
-        _emit_error("usage", str(exc), pretty)
-        return 3
+        return 3, _error("usage", str(exc)), pretty
     except OSError as exc:
-        _emit_error("file", str(exc), pretty)
-        return 3
+        return 3, _error("file", str(exc)), pretty
     except FlagspecError as exc:
-        _emit_error(type(exc).__name__, str(exc), pretty)
-        return 2
+        return 2, _error(type(exc).__name__, str(exc)), pretty
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        _emit_error("format", str(exc), pretty)
-        return 2
+        return 2, _error("format", str(exc)), pretty
+    return code, payload, pretty
+
+
+def main(argv=None) -> int:
+    code, payload, pretty = _decide(argv)
     try:
         _emit(payload, pretty)
+        sys.stdout.flush()  # a buffered stdout meets a closed reader here
     except BrokenPipeError:
         # the reader closed stdout: point it at devnull, so the interpreter's
         # final flush of the unwritten rest cannot fail, and exit as a file error

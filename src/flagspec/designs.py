@@ -84,10 +84,12 @@ class Design:
     Blocks keep the order they were given in (flag graphs index into that
     order) but each block is stored as a sorted tuple.  Two designs are
     equal when they have the same point count and the same multiset of
-    blocks; the repeated-block policy flag is not part of identity.
+    blocks; the repeated-block policy flag is not part of identity.  An
+    instance is not changed after construction: incidence_graph keeps its
+    result on it.
     """
 
-    __slots__ = ("v", "blocks", "allow_repeated_blocks")
+    __slots__ = ("v", "blocks", "allow_repeated_blocks", "_incidence")
 
     def __init__(self, v: int, blocks, allow_repeated_blocks: bool = False):
         v = operator.index(v)  # TypeError on non-integers, as for points
@@ -104,6 +106,7 @@ class Design:
         self.v = v
         self.blocks = tuple(norm)
         self.allow_repeated_blocks = bool(allow_repeated_blocks)
+        self._incidence = None
 
     @property
     def b(self) -> int:
@@ -207,9 +210,16 @@ def enumerate_flags(d: Design) -> list[Flag]:
 
 def incidence_graph(d: Design) -> Graph:
     """Bipartite graph on points then blocks: vertex v + j is block j.
-    Graph refuses v + b above graph6's largest order."""
-    edges = [(p, d.v + j) for j, blk in enumerate(d.blocks) for p in blk]
-    return Graph(d.v + d.b, edges)
+
+    Built once per Design and kept on it, so every call on the instance
+    returns the same Graph, with whatever that Graph holds (its canonical
+    forms, its char_poly).  Graph refuses v + b above graph6's largest
+    order, and then nothing is kept.
+    """
+    if d._incidence is None:
+        edges = [(p, d.v + j) for j, blk in enumerate(d.blocks) for p in blk]
+        d._incidence = Graph(d.v + d.b, edges)
+    return d._incidence
 
 
 # ---------------------------------------------------------------------------

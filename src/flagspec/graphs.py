@@ -18,10 +18,14 @@ import numpy as np
 from .errors import TooManyVertices
 
 # Vertex limit of the dense kernels (adjacency, _gram and char_poly, which
-# reads adjacency), checked before any n x n allocation.  char_poly holds
-# two n x n int64 arrays at once, the Hessenberg copy and the reduction's
-# scratch buffer or the recurrence's table: 1 GiB at the limit, besides the
-# 64 MiB uint8 adjacency (a 22 MiB tracemalloc peak at n = 1,200).
+# reads adjacency), checked before any n x n allocation.  char_poly's
+# adjacency route holds three n x n float64 arrays at once, the matrix and
+# two Horner products (eigvalsh copies the matrix earlier, while only it
+# lives): 1.5 GiB at the limit, and a tracemalloc peak of 95 MiB, 3.1 n^2
+# float64 words, at n = 2,000.  Its fallback, the Hessenberg kernel, holds
+# two n x n int64 arrays, the copy and the reduction's scratch buffer or
+# the recurrence's table: 1 GiB at the limit (a 22 MiB tracemalloc peak at
+# n = 1,200).  Both come besides the 64 MiB uint8 adjacency.
 DENSE_VERTEX_LIMIT = 8192
 
 
@@ -42,9 +46,9 @@ class Graph:
     the constructor raises TooManyVertices before it builds anything.
 
     Since nothing changes after construction, an instance also holds results
-    derived from it: spectra.char_poly and the uncolored
-    isomorphism.canonical_form keep theirs in the private _derived dict, so
-    asking the same instance again returns the stored (immutable) object.  A
+    derived from it: spectra.char_poly and isomorphism.canonical_form (one
+    form per coloring) keep theirs in the private _derived dict, so asking
+    the same instance again returns the stored (immutable) object.  A
     new Graph with equal content starts empty and computes afresh.  Every
     graph built in this module starts empty; flag_graphs.gamma1 alone
     leaves structure there, its root under "line_root".
@@ -53,6 +57,7 @@ class Graph:
     __slots__ = ("n", "edges", "_ends", "_neighbors", "_derived")
 
     def __init__(self, n: int, edges):
+        n = operator.index(n)  # TypeError on non-integers, as for endpoints
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         if n > _G6_MAX_N:

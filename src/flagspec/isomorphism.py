@@ -50,10 +50,11 @@ Design isomorphism reuses the machinery on the incidence graph with the
 point/block sides as an ordered two-color partition, so points can never
 map to blocks: dualities of symmetric designs deliberately do not count.
 
-The uncolored form is kept on the Graph instance, so is_isomorphic and
-repeat canonical_form calls search each instance once.  Colored forms are
-not kept: design_isomorphic builds fresh incidence graphs on every call,
-so a stored one would never be asked for again.
+Forms are kept on the Graph instance, the uncolored one and one per
+coloring, so is_isomorphic and repeat canonical_form calls search each
+instance once per coloring.  A Design keeps its incidence graph, so
+design_isomorphic searches each design once, however often it is asked:
+the reproduction report compares each (16,6,2) biplane five times.
 """
 
 from __future__ import annotations
@@ -244,8 +245,9 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
     With `colors`, vertices only ever map within their color class and the
     certificate gains a class-size prefix; color values are ordinal (the
     class with the smallest color occupies the lowest canonical positions).
-    The uncolored form is kept on g, so a repeat call on the same instance
-    returns it without searching.  Graphs above CANONICAL_VERTEX_LIMIT
+    Every form is kept on g, the uncolored one and one per coloring (by
+    its class ranks), so a repeat call on the same instance returns it
+    without searching.  Graphs above CANONICAL_VERTEX_LIMIT
     vertices raise TooManyVertices.
     """
     n = g.n
@@ -262,12 +264,14 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
         for c in base:
             sizes[c] += 1
         prefix = (",".join(map(str, sizes)) + ":").encode("ascii")
+        key = ("canonical_form", tuple(base))
     else:
-        form = g._derived.get("canonical_form")
-        if form is not None:
-            return form
         base = [0] * n
         prefix = b""
+        key = "canonical_form"
+    form = g._derived.get(key)
+    if form is not None:
+        return form
     if n == 0:
         empty = np.zeros(0, dtype=np.int64)
         cert, perm = _graph6(0, empty, empty), ()
@@ -275,9 +279,7 @@ def canonical_form(g: Graph, colors=None) -> CanonicalForm:
         cert, perm = _assemble_components(g, parts)
     else:
         cert, perm = _search(g, base)
-    form = CanonicalForm(prefix + cert, perm)
-    if colors is None:
-        g._derived["canonical_form"] = form
+    form = g._derived[key] = CanonicalForm(prefix + cert, perm)
     return form
 
 

@@ -154,7 +154,9 @@ class _Corpus:
     The polynomials are computed once, up front, and criteria 7 and 8 read
     them from `charpolys`; verify_spectrum and numeric_spectrum call
     char_poly on the same Graph instances, which return the polynomial they
-    hold, so one pass makes 48 char_poly calls and computes 30 polynomials."""
+    hold, so one pass makes 48 char_poly calls and computes 30 polynomials.
+    The catalog designs keep their incidence graphs, and those graphs their
+    polynomials, so a later pass in the same process computes 22."""
 
     def __init__(self):
         self.designs = {i: get_design(i) for i in DESIGNS}

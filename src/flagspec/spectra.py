@@ -1,27 +1,38 @@
 """Exact adjacency spectra.
 
 char_poly computes the exact integer characteristic polynomial of the
-adjacency matrix by one kernel, _charpoly_matrix: an integer matrix is
-reduced to Hessenberg form modulo several 27-bit primes, the Hessenberg
-determinant recurrence produces the polynomial mod each prime, and the
-integer coefficients are reconstructed by the Chinese remainder theorem.
-The primes are the fewest whose product exceeds twice one coefficient
-bound, which the kernel reads off the matrix it reduces (_coeff_bound).
-The cost is the number of primes times the cost per prime (Dumas, Pernet
-& Wan 2005), and the bound sets the first factor.
+adjacency matrix.  gamma1, the line graph of a design's incidence graph,
+records that root (N vertices, m >= N edges) and its two sides, with one
+degree on each.  There chi_L(x) = (x + 2)^(m - N) chi_Q(x + 2), Q the
+root's signless Laplacian, and a Schur complement takes chi_Q(x + 2) from
+C C^T, C the root's biadjacency matrix, of the order of the smaller side
+(_line_charpoly).  So gamma1's order-n problem becomes one of order
+min(v, b), the matrix N N^T of the design, which the Hessenberg kernel
+below reduces.
 
-A graph goes in as its adjacency matrix, except gamma1, the line graph of
-a design's incidence graph, which records that root (N vertices, m >= N
-edges) and its two sides, with one degree on each.  There chi_L(x) =
-(x + 2)^(m - N) chi_Q(x + 2), Q the root's signless Laplacian, and a
-Schur complement takes chi_Q(x + 2) from C C^T, C the root's
-biadjacency matrix, of the order of the smaller side (_line_charpoly).
-So gamma1's order-n problem becomes one of order min(v, b), the matrix
-N N^T of the design.  Both routes end in the same self-checks.
+Every other graph takes the adjacency route (_adjacency_charpoly).
+Isolated vertices leave first, as a factor x^i.  Then float64 eigenvalues
+give a guess, factors f with multiplicities m, and an exact certificate
+decides it: mu = prod f annihilates A, and s = deg mu power sums of the
+roots match the traces tr(A^j), all in float64 arithmetic that stays below
+2**53 and so is exact (_certify).  The graphs of the paper have few
+distinct eigenvalues, so s is small and the certificate costs s products
+of n x n matrices.  A random graph has n distinct eigenvalues: its guess
+is refused or fails, as do graphs whose bound passes 2**53, and those fall
+back to the one exact kernel.
 
-No floating point touches any verification verdict; spectrum claims carry
-eigenvalues of the form a + b*sqrt(d) and are checked by exact polynomial
-identity in Z[x].
+That kernel, _charpoly_matrix, reduces an integer matrix to Hessenberg
+form modulo several 27-bit primes; the Hessenberg determinant recurrence
+produces the polynomial mod each prime, and the integer coefficients are
+reconstructed by the Chinese remainder theorem.  The primes are the fewest
+whose product exceeds twice one coefficient bound, which the kernel reads
+off the matrix it reduces (_coeff_bound).  The cost is the number of
+primes times the cost per prime (Dumas, Pernet & Wan 2005), and the bound
+sets the first factor.  Every route ends in the same self-checks.
+
+No floating point touches any verification verdict: the float64 guess is
+proved or dropped, and spectrum claims carry eigenvalues of the form
+a + b*sqrt(d) and are checked by exact polynomial identity in Z[x].
 
 The polynomial is kept on the Graph instance, so char_poly,
 verify_spectrum, numeric_spectrum and cospectral compute it once per
@@ -386,6 +397,131 @@ def _charpoly_matrix(mat: np.ndarray) -> IntPolynomial:
     return IntPolynomial(coeffs)
 
 
+# The guess takes sorted eigenvalues closer than _CLUSTER_GAP times the
+# spectral radius (at least 1) for one, and is refused when a coefficient
+# lies more than _GUESS_MARGIN from an integer or is _GUESS_LIMIT or more in
+# magnitude.  float64 holds every integer below _FLOAT_EXACT.
+_CLUSTER_GAP = 1e-6
+_GUESS_MARGIN = 1e-4
+_GUESS_LIMIT = 2.0**40
+_FLOAT_EXACT = 2**53
+
+
+def _guess_factors(values: np.ndarray) -> list[tuple[IntPolynomial, int]] | None:
+    """Monic factors f with multiplicities m, from ascending float64
+    eigenvalues: the clusters of each size m are the roots of one f.
+
+    The eigenvalues of multiplicity m are closed under conjugation, so
+    when the clusters are right each f is in Z[x] and prod f^m is the
+    characteristic polynomial.  A guess is only a guess: None when it is
+    refused, and _certify decides the rest.
+    """
+    gap = _CLUSTER_GAP * max(1.0, float(np.abs(values).max()))
+    groups: dict[int, list[float]] = {}
+    for cluster in np.split(values, np.flatnonzero(np.diff(values) > gap) + 1):
+        groups.setdefault(len(cluster), []).append(float(cluster.mean()))
+    factors = []
+    for m, centres in groups.items():
+        coeffs = np.poly(centres)[::-1]
+        rounded = np.rint(coeffs)
+        # written so that a NaN refuses the guess too
+        if not ((np.abs(rounded) < _GUESS_LIMIT)
+                & (np.abs(coeffs - rounded) <= _GUESS_MARGIN)).all():
+            return None
+        factors.append((IntPolynomial(rounded.astype(np.int64).tolist()), m))
+    return factors
+
+
+def _power_sums(f: IntPolynomial, count: int) -> list[int]:
+    """p_0 .. p_(count-1), p_j the sum of the j-th powers of the roots of the
+    monic f = x^d + a_(d-1) x^(d-1) + ... + a_0, by Newton's identities:
+    p_j = -(j a_(d-j) + sum over i = 1..min(j-1, d) of a_(d-i) p_(j-i)),
+    the first term only for j <= d."""
+    a, d = f.coeffs, f.degree
+    sums = [d]
+    for j in range(1, count):
+        total = j * a[d - j] if j <= d else 0
+        total += sum(a[d - i] * sums[j - i] for i in range(1, min(j - 1, d) + 1))
+        sums.append(-total)
+    return sums
+
+
+def _certify(a: np.ndarray, factors) -> IntPolynomial | None:
+    """prod f^m when that is det(xI - a), else None; a is a symmetric 0/1
+    float64 matrix with no zero row, and f, m are _guess_factors' output.
+
+    Let mu = prod f = x^s + c_(s-1) x^(s-1) + ... + c_0.  mu(a) = 0 puts
+    every eigenvalue of a among the roots of mu, at most s of them, and
+    tr(a^j) = sum m p_j(f) for j < s (j = 0 is the degree count) is a
+    Vandermonde system over those roots, so each root's multiplicity in
+    chi is its multiplicity in prod f^m.  Nothing else needs checking:
+    a wrong or complex root fails the traces.
+
+    Horner gives both: P_1 = a + c_(s-1) I and P_(k+1) = P_k a + c_(s-k-1) I
+    end in P_s = mu(a), and tr(P_k) = sum over i <= k of c_(s-k+i) tr(a^i),
+    a triangular system with unit diagonal, so comparing it with the same
+    sum over the claimed traces for every k < s checks tr(a^j) for j < s.
+    With D the largest degree, |P_k| <= B_k = sum over i <= k of
+    |c_(s-k+i)| D^i, every partial sum of P_k a is at most D B_k, and B
+    grows with k, so while B_s < _FLOAT_EXACT every float64 value is an
+    exact integer, whatever order BLAS adds in.  Beyond it, None.
+    """
+    n = a.shape[0]
+    if sum(f.degree * m for f, m in factors) != n:
+        return None
+    mu = IntPolynomial([1])
+    for f, _ in factors:
+        mu = mu * f
+    c, s = mu.coeffs, mu.degree
+    top = int(a.sum(axis=1).max())
+    if sum(abs(x) * top**i for i, x in enumerate(c)) >= _FLOAT_EXACT:
+        return None
+    sums = [(_power_sums(f, s), m) for f, m in factors]
+    traces = [sum(m * p[j] for p, m in sums) for j in range(s)]
+    diagonal = np.arange(n), np.arange(n)
+    p, spare = a.copy(), np.empty_like(a)
+    p[diagonal] += c[s - 1]
+    for k in range(1, s):
+        if sum(map(int, p[diagonal].tolist())) != sum(
+                c[s - k + i] * traces[i] for i in range(k + 1)):
+            return None
+        np.matmul(p, a, out=spare)
+        p, spare = spare, p
+        p[diagonal] += c[s - k - 1]
+    if p.any():
+        return None
+    poly = IntPolynomial([1])
+    for f, m in factors:
+        poly = poly * f**m
+    return poly
+
+
+def _guess_and_certify(a: np.ndarray) -> IntPolynomial | None:
+    """det(xI - a) by a float64 guess that _certify proves, or None."""
+    a = a.astype(np.float64)
+    factors = _guess_factors(np.linalg.eigvalsh(a))
+    return None if factors is None else _certify(a, factors)
+
+
+def _adjacency_charpoly(a: np.ndarray) -> IntPolynomial:
+    """det(xI - a) for a symmetric 0/1 matrix a.
+
+    The i zero rows and columns leave first, chi(a) = x^i chi(a'): the
+    guess costs O(n^3) whatever the sparsity, while the Hessenberg kernel
+    skips zero columns.  Then the guess is certified, and when it is
+    refused or fails, _charpoly_matrix decides: a failed certificate is
+    not an error, since the guess is a heuristic.
+    """
+    live = np.flatnonzero(a.any(axis=0))
+    isolated = IntPolynomial([0] * (a.shape[0] - len(live)) + [1])
+    if not len(live):
+        return isolated
+    if len(live) < a.shape[0]:
+        a = a[np.ix_(live, live)]
+    poly = _guess_and_certify(a)
+    return isolated * (_charpoly_matrix(a) if poly is None else poly)
+
+
 def _line_charpoly(root: Graph, u: Sequence[int], w: Sequence[int]) -> IntPolynomial:
     """Characteristic polynomial of the line graph of root (N vertices,
     m >= N edges), bipartite on the sides U and W recorded by gamma1, with
@@ -411,7 +547,9 @@ def char_poly(g: Graph) -> IntPolynomial:
     """Exact characteristic polynomial of the adjacency matrix of g.
 
     gamma1, which records its root and the root's sides, takes the line
-    route (_line_charpoly); every other graph takes the adjacency route.
+    route (_line_charpoly); every other graph takes the adjacency route
+    (_adjacency_charpoly), a certified float64 guess or the Hessenberg
+    kernel.
     Above graphs.DENSE_VERTEX_LIMIT vertices either route raises
     TooManyVertices before anything is allocated.  The result is kept on
     g, so a repeat call on the same instance returns it without computing.
@@ -425,7 +563,7 @@ def char_poly(g: Graph) -> IntPolynomial:
         return IntPolynomial([1])
     line = g._derived.get("line_root")
     if line is None:
-        poly = _charpoly_matrix(g.adjacency())
+        poly = _adjacency_charpoly(g.adjacency())
     else:
         poly = _line_charpoly(*line)
     # free self-checks: monic, trace zero, x^(n-2) coefficient counts edges

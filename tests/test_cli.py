@@ -125,6 +125,9 @@ def test_self_check_failure_exits_two(capsys, monkeypatch, tmp_path):
                     "graph6")
     path = tmp_path / "inc.g6"
     path.write_text(out)
+    # a refused guess sends the graph to the Hessenberg kernel, whose
+    # modulus is then too short
+    monkeypatch.setattr(spectra, "_guess_factors", lambda values: None)
     monkeypatch.setattr(spectra, "_modular_primes", lambda beyond: [7])
     code, obj = run_json(capsys, "charpoly", str(path))
     assert code == 2
@@ -488,6 +491,31 @@ def test_closed_stdout_exits_three_quietly(tmp_path):
         err = child.stderr.read()
         assert child.wait(timeout=60) == 3, err
     assert err == b""
+
+
+@pytest.mark.parametrize("kind", ["usage", "file", "format"])
+def test_error_object_to_a_closed_stdout_exits_three_quietly(kind, tmp_path):
+    # the error object is written to a pipe whose read end is already
+    # closed, with stdout unbuffered and buffered
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    argv = {"usage": ["no-such-command"],
+            "file": ["validate", str(tmp_path / "missing.json")],
+            "format": ["validate", str(bad)]}[kind]
+    for unbuffered in (True, False):
+        env = _child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run([sys.executable, "-m", "flagspec.cli", *argv],
+                                   env=env, stdout=write_end, stderr=subprocess.PIPE,
+                                   timeout=60)
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (3, b""), (kind, unbuffered)
 
 
 def test_iso_above_the_canonical_form_limit_exits_two(capsys, tmp_path):

@@ -279,12 +279,24 @@ def test_incidence_graph_shape(catalog_designs):
         )
 
 
+def test_incidence_graph_is_kept_on_the_design():
+    d = Design(7, FANO_BLOCKS)
+    g = incidence_graph(d)
+    assert incidence_graph(d) is g
+    # an equal design is another instance, with a graph of its own
+    other = Design(7, FANO_BLOCKS)
+    assert other == d
+    assert incidence_graph(other) == g and incidence_graph(other) is not g
+
+
 def test_incidence_graph_refuses_more_vertices_than_a_graph_file_holds():
     # v + b vertices, checked before Graph builds one neighbor list each,
     # so every incidence graph written to a file reads back
     assert incidence_graph(Design(258046, [[0, 1]])).n == 258047
-    with pytest.raises(TooManyVertices, match="graph-file limit"):
-        incidence_graph(Design(258047, [[0, 1]]))
+    wide = Design(258047, [[0, 1]])
+    for _ in range(2):  # a refusal keeps nothing, so it refuses again
+        with pytest.raises(TooManyVertices, match="graph-file limit"):
+            incidence_graph(wide)
 
 
 def test_design_json_round_trip():

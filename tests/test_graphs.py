@@ -131,6 +131,18 @@ def test_graph_endpoints_become_ints():
         Graph(3, [(0, 1.0)])
 
 
+def test_graph_order_becomes_an_int():
+    # a numpy integer n used to stay as given, and json.dumps raised on it
+    g = Graph(np.int64(3), [(0, 1)])
+    assert type(g.n) is int
+    text = json.dumps(graph_to_json(g))
+    assert json.loads(text)["n"] == 3
+    assert graph_from_json(text) == g
+    assert graph_from_graph6(graph_to_graph6(g)) == g
+    with pytest.raises(TypeError):
+        Graph(3.0, [])
+
+
 def test_neighbors_and_degrees():
     g = cycle_graph(5)
     assert g.neighbors(0) == (1, 4)

@@ -204,18 +204,52 @@ def test_uncolored_form_is_searched_once_per_instance(monkeypatch):
     assert len(searches) == 4
 
 
-def test_colored_forms_are_not_stored():
+def test_colored_forms_are_stored_per_coloring(monkeypatch):
+    searches = []
+    real = isomorphism._search
+    monkeypatch.setattr(
+        isomorphism, "_search", lambda g, base: searches.append(g.n) or real(g, base)
+    )
     g = cycle_graph(6)
     plain = canonical_form(g)
     colored = canonical_form(g, [0] * 6)
     # one color class: same ordering, but the certificate carries a prefix
     assert colored.certificate == b"6:" + plain.certificate
-    assert canonical_form(g, [0] * 6) is not colored
+    assert len(searches) == 2
+    # a repeat colored call returns the stored form; equal class ranks are
+    # one coloring
+    assert canonical_form(g, [0] * 6) is colored
+    assert canonical_form(g, [7] * 6) is colored
     assert canonical_form(g) is plain
-    # a colored call first does not leave its form for the uncolored one
+    assert len(searches) == 2
+    two = canonical_form(g, [0, 1] * 3)
+    assert canonical_form(g, [3, 5] * 3) is two
+    assert canonical_form(g, [1, 0] * 3) is not two
+    assert len(searches) == 4
+    # neither kind serves the other, the one-class coloring included
     h = cycle_graph(6)
-    canonical_form(h, [0, 1] * 3)
+    assert canonical_form(h, [0] * 6) == colored
     assert canonical_form(h) == plain
+    k = cycle_graph(6)
+    assert canonical_form(k) == plain
+    assert canonical_form(k, [0] * 6) == colored
+    one = Graph(1, [])
+    assert canonical_form(one, [0]).certificate == b"1:@"
+    assert canonical_form(one).certificate == b"@"
+
+
+def test_design_isomorphism_searches_each_design_once(catalog_designs, monkeypatch):
+    searches = []
+    real = isomorphism._search
+    monkeypatch.setattr(
+        isomorphism, "_search", lambda g, base: searches.append(g.n) or real(g, base)
+    )
+    d = Design(7, catalog_designs["fano-7-3-1"].blocks)
+    assert design_isomorphic(d, d)
+    assert searches == [14]
+    other = Design(7, [[(x + g) % 7 for x in (0, 1, 3)] for g in range(7)])
+    assert design_isomorphic(d, other) and design_isomorphic(other, d)
+    assert searches == [14, 14]
 
 
 def test_permutation_field_is_inverse_free(gamma2_graphs):
@@ -438,7 +472,7 @@ def test_canonical_form_refuses_graphs_above_its_vertex_limit(monkeypatch):
     for colors in (None, [0] * big.n, [v % 2 for v in range(big.n)]):
         with pytest.raises(TooManyVertices, match="CANONICAL_VERTEX_LIMIT"):
             canonical_form(big, colors)
-    assert "canonical_form" not in big._derived
+    assert big._derived == {}
 
 
 def test_color_weight_sums_are_exact_at_high_degree():

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import networkx as nx
@@ -171,50 +172,57 @@ def test_char_poly_empty_and_single():
 
 
 def test_char_poly_is_computed_once_per_instance(monkeypatch):
-    primes = []
-    real = spectra._hessenberg_mod
-    monkeypatch.setattr(
-        spectra, "_hessenberg_mod", lambda mat, p: primes.append(p) or real(mat, p)
-    )
+    computed = []
+    real = spectra._adjacency_charpoly
+    monkeypatch.setattr(spectra, "_adjacency_charpoly",
+                        lambda a: computed.append(a.shape[0]) or real(a))
     g = complete_graph(6)
     poly = char_poly(g)
-    per_poly = len(primes)
-    assert per_poly > 0
+    assert computed == [6]
     # every exact path asks the same instance again and gets the stored object
     assert char_poly(g) is poly
     assert verify_spectrum(g, SpectrumClaim([(ev(5), 1), (ev(-1), 5)]))
     assert numeric_spectrum(g, 1e-6)[0][1] == 1
     assert cospectral(g, g)
-    assert len(primes) == per_poly
+    assert computed == [6]
     # a new Graph with equal content computes again
     fresh = Graph(g.n, g.edges)
     assert fresh == g
     assert char_poly(fresh) == poly
-    assert len(primes) == 2 * per_poly
+    assert computed == [6, 6]
 
 
 def test_report_pass_computes_char_poly_once_per_graph(monkeypatch):
-    from flagspec import reporting
+    from flagspec import catalog, reporting
 
     calls, computed = [], []
-    real_char_poly, real_primes = spectra.char_poly, spectra._modular_primes
+    real_char_poly = spectra.char_poly
 
     def counting_char_poly(g):
         calls.append(g)
         return real_char_poly(g)
 
-    def counting_primes(beyond):
-        # one prime selection per polynomial actually computed
-        computed.append(beyond)
-        return real_primes(beyond)
+    def counting(route):
+        # one route call per polynomial actually computed
+        real = getattr(spectra, route)
+        monkeypatch.setattr(spectra, route,
+                            lambda *args: computed.append(route) or real(*args))
 
     monkeypatch.setattr(spectra, "char_poly", counting_char_poly)
     monkeypatch.setattr(reporting, "char_poly", counting_char_poly)
-    monkeypatch.setattr(spectra, "_modular_primes", counting_primes)
+    counting("_adjacency_charpoly")
+    counting("_line_charpoly")
+    # freshly loaded catalog designs, as in a new process
+    catalog._load_entry.cache_clear()
     reporting.run_reproduction(relabel_rounds=1, seed=1729)
     # the corpus, verify_spectrum and numeric_spectrum ask 30 graphs 48 times
     assert len({id(g) for g in calls}) == 30
     assert (len(calls), len(computed)) == (48, 30)
+    # a catalog design keeps its incidence graph, and that graph its
+    # polynomial, so a second pass computes the other 22
+    del calls[:], computed[:]
+    reporting.run_reproduction(relabel_rounds=1, seed=1729)
+    assert (len(calls), len(computed)) == (48, 22)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +231,12 @@ def test_report_pass_computes_char_poly_once_per_graph(monkeypatch):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The matrix of every _charpoly_matrix call, and the order of every
-    matrix _hessenberg_mod reduces."""
-    calls, orders = [], []
+    """The matrix of every _charpoly_matrix call, the order of every matrix
+    _hessenberg_mod reduces, and the order of every matrix the adjacency
+    route takes."""
+    calls, orders, adjacency = [], [], []
     real_kernel, real_hessenberg = spectra._charpoly_matrix, spectra._hessenberg_mod
+    real_adjacency = spectra._adjacency_charpoly
 
     def kernel(mat):
         calls.append(mat.copy())
@@ -236,9 +246,14 @@ def kernel_calls(monkeypatch):
         orders.append(mat.shape[0])
         return real_hessenberg(mat, p)
 
+    def adjacency_route(mat):
+        adjacency.append(mat.shape[0])
+        return real_adjacency(mat)
+
     monkeypatch.setattr(spectra, "_charpoly_matrix", kernel)
     monkeypatch.setattr(spectra, "_hessenberg_mod", hessenberg)
-    return calls, orders
+    monkeypatch.setattr(spectra, "_adjacency_charpoly", adjacency_route)
+    return calls, orders, adjacency
 
 
 def _difference_set_designs():
@@ -254,7 +269,7 @@ def test_gamma1_route_equals_the_adjacency_route(catalog_designs, kernel_calls):
     from flagspec.designs import design_from_difference_set
     from flagspec.flag_graphs import gamma1
 
-    calls, orders = kernel_calls
+    calls, orders, adjacency = kernel_calls
     # the (19,9,4), (23,11,5) and (37,9,2) designs take the adjacency route
     # at 171, 253 and 333 vertices, only here
     designs = list(catalog_designs.values()) + _difference_set_designs() + [
@@ -264,13 +279,13 @@ def test_gamma1_route_equals_the_adjacency_route(catalog_designs, kernel_calls):
             (37, [1, 7, 9, 10, 12, 16, 26, 33, 34]))]
     for d in designs:
         g = gamma1(d).graph
-        del orders[:]
+        del orders[:], adjacency[:]
         route = char_poly(g)
-        assert set(orders) == {min(d.v, d.b)}
-        del orders[:]
+        assert set(orders) == {min(d.v, d.b)} and not adjacency
         assert char_poly(Graph(g.n, g.edges)) == route
-        assert set(orders) == {g.n}
-    assert len(calls) == 2 * len(designs)
+        assert adjacency == [g.n]
+    # every plain copy is certified, so the kernel ran for the line route only
+    assert len(calls) == len(designs)
 
 
 def _shifted_signless_laplacian(root: Graph) -> list[list[int]]:
@@ -315,10 +330,10 @@ LINE_GRAPH_ROOTS = _line_graph_roots()
 def test_line_graph_route_matches_berkowitz(name, kernel_calls):
     # no root here is bipartite with one degree on each side, so every
     # line graph takes the adjacency route
-    _, orders = kernel_calls
+    _, _, adjacency = kernel_calls
     lg = line_graph(LINE_GRAPH_ROOTS[name])
     assert list(char_poly(lg).coeffs) == berkowitz_charpoly(lg)
-    assert set(orders) == {lg.n}
+    assert adjacency == [lg.n]
 
 
 def _complete_bipartite(a: int, c: int) -> Graph:
@@ -366,7 +381,7 @@ def _line_oracle(root: Graph) -> list[int]:
 
 @pytest.mark.parametrize("name", REDUCTION_ROOTS)
 def test_biregular_reduction_matches_berkowitz(name, kernel_calls):
-    _, orders = kernel_calls
+    _, orders, _ = kernel_calls
     root, order = REDUCTION_ROOTS[name]
     sides = nx.bipartite.sets(nx.Graph(root.edges))
     u, w = sorted((sorted(side) for side in sides), key=len)
@@ -377,21 +392,21 @@ def test_biregular_reduction_matches_berkowitz(name, kernel_calls):
 @pytest.mark.parametrize("name", REDUCTION_ROOTS)
 def test_line_graph_alone_takes_the_adjacency_route(name, kernel_calls):
     # line_graph records no root, so only gamma1 takes the line route
-    _, orders = kernel_calls
+    _, _, adjacency = kernel_calls
     root, _ = REDUCTION_ROOTS[name]
     lg = line_graph(root)
     assert list(char_poly(lg).coeffs) == _line_oracle(root)
-    assert set(orders) == {lg.n}
+    assert adjacency == [lg.n]
 
 
 @pytest.mark.parametrize("name", FALLBACK_ROOTS)
 def test_bipartite_roots_that_are_not_biregular_take_the_adjacency_route(
         name, kernel_calls):
-    _, orders = kernel_calls
+    _, _, adjacency = kernel_calls
     root = FALLBACK_ROOTS[name]
     lg = line_graph(root)
     assert list(char_poly(lg).coeffs) == _line_oracle(root)
-    assert set(orders) == {lg.n}
+    assert adjacency == [lg.n]
 
 
 def test_dominant_row_takes_hadamards_bound(monkeypatch):
@@ -404,7 +419,8 @@ def test_dominant_row_takes_hadamards_bound(monkeypatch):
                         or real_primes(beyond))
     star = Graph(120, [(0, v) for v in range(1, 120)])
     # chi = x^118 (x^2 - 119)
-    assert char_poly(star) == IntPolynomial([0] * 118 + [-119, 0, 1])
+    assert spectra._charpoly_matrix(star.adjacency()) == IntPolynomial(
+        [0] * 118 + [-119, 0, 1])
     assert counts == [3]
     square = -(-((star.n + 2 * star.edge_count) ** star.n) // star.n**star.n)
     am_gm = math.isqrt(square - 1) + 1
@@ -414,15 +430,15 @@ def test_dominant_row_takes_hadamards_bound(monkeypatch):
 def test_relabeled_line_graph_takes_the_adjacency_route(catalog_designs, kernel_calls):
     from flagspec.flag_graphs import gamma1
 
-    _, orders = kernel_calls
+    _, orders, adjacency = kernel_calls
     d = catalog_designs["complete-6-20-10-3-4"]
     g = gamma1(d).graph
     copy = _shuffled(g, random.Random(3))
     copy_poly = char_poly(copy)
-    assert set(orders) == {g.n}
+    assert adjacency == [g.n]
     del orders[:]
     assert char_poly(g) == copy_poly
-    assert set(orders) == {min(d.v, d.b)}
+    assert set(orders) == {min(d.v, d.b)} and adjacency == [g.n]
 
 
 def test_line_graph_route_keeps_the_dense_vertex_limit(catalog_designs, monkeypatch):
@@ -435,6 +451,183 @@ def test_line_graph_route_keeps_the_dense_vertex_limit(catalog_designs, monkeypa
     g = gamma1(catalog_designs["fano-7-3-1"]).graph
     with pytest.raises(TooManyVertices):
         char_poly(g)
+
+
+# ---------------------------------------------------------------------------
+# adjacency route: a float64 guess, certified exactly
+# ---------------------------------------------------------------------------
+
+def _family_designs():
+    """The benchmark's difference-set families, from perfbench/families.py,
+    which builds each base block from first principles."""
+    import importlib.util
+    from pathlib import Path
+
+    from flagspec.designs import design_from_difference_set
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "families.py"
+    spec = importlib.util.spec_from_file_location("families", path)
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    return {name: design_from_difference_set(*families.family_base_block(name))
+            for name in families.FAMILY_PARAMS}
+
+
+def _certified_graphs() -> dict:
+    """Incidence graphs, relabeled gamma1 and gamma2 of the catalog and the
+    family designs, gamma1 only up to 333 vertices: 37 graphs."""
+    from flagspec.catalog import BIPLANE_IDS, CATALOG_IDS, get_design
+    from flagspec.designs import incidence_graph, validate_design
+    from flagspec.flag_graphs import gamma1, gamma2
+
+    designs = {i: get_design(i) for i in CATALOG_IDS}
+    designs.update(_family_designs())
+    rng = random.Random(31)
+    out = {}
+    for name, d in designs.items():
+        p = validate_design(d)
+        out[f"incidence:{name}"] = incidence_graph(d)
+        if p.v * p.r <= 333:
+            out[f"gamma1:{name}"] = _shuffled(gamma1(d).graph, rng)
+        if name in BIPLANE_IDS or name == "quartic-37":
+            out[f"gamma2:{name}"] = gamma2(d).graph
+    return out
+
+
+CERTIFIED_GRAPHS = _certified_graphs()
+
+
+@pytest.mark.parametrize("name", CERTIFIED_GRAPHS)
+def test_certificate_equals_the_hessenberg_kernel(name):
+    a = CERTIFIED_GRAPHS[name].adjacency()
+    certified = spectra._guess_and_certify(a)
+    if name == "gamma2:quartic-37":
+        # s = 21 and largest degree 8: 8^21 is past 2^53, so it falls back
+        assert certified is None
+    else:
+        assert certified == spectra._charpoly_matrix(a)
+
+
+@st.composite
+def route_graphs(draw):
+    """Random graphs at several densities, and unions of complete graphs
+    and cycles, whose few distinct eigenvalues the guess can find."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return random_graph(draw(st.integers(1, 30)),
+                            draw(st.sampled_from([0.1, 0.3, 0.5, 0.9])), seed)
+    edges, n = [], 0
+    for kind, size in draw(st.lists(st.tuples(st.booleans(), st.integers(1, 7)),
+                                    min_size=1, max_size=5)):
+        part = complete_graph(size) if kind or size < 3 else cycle_graph(size)
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += size
+    return _shuffled(Graph(n, edges), random.Random(seed))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(route_graphs())
+def test_adjacency_route_equals_the_hessenberg_kernel(g):
+    a = g.adjacency()
+    exact = spectra._charpoly_matrix(a)
+    assert char_poly(g) == exact
+    live = np.flatnonzero(a.any(axis=0))
+    if len(live):
+        certified = spectra._guess_and_certify(a[np.ix_(live, live)])
+        assert certified is None or certified * IntPolynomial(
+            [0] * (g.n - len(live)) + [1]) == exact
+
+
+# gamma2 of the (16,6,2) biplane D3: (x + 3)^26 (x^2 - 2x - 7)^6 (x^2 - 2x - 3)^4
+# (x - 1)^48 (x - 5)^2
+D3_GAMMA2_FACTORS = [
+    (IntPolynomial([3, 1]), 26), (IntPolynomial([-7, -2, 1]), 6),
+    (IntPolynomial([-3, -2, 1]), 4), (IntPolynomial([-1, 1]), 48),
+    (IntPolynomial([-5, 1]), 2),
+]
+
+
+def test_certificate_refutes_a_moved_multiplicity_and_a_shifted_eigenvalue(
+        gamma2_graphs):
+    a = gamma2_graphs["biplane-16-6-2-D3"].graph.adjacency().astype(np.float64)
+    guess = spectra._guess_factors(np.linalg.eigvalsh(a))
+    assert sorted(guess, key=lambda t: t[1]) == sorted(D3_GAMMA2_FACTORS,
+                                                       key=lambda t: t[1])
+    chi = spectra._charpoly_matrix(a.astype(np.uint8))
+    assert spectra._certify(a, D3_GAMMA2_FACTORS) == chi
+    # one copy of 1 becomes a copy of -3: mu(A) = 0 still holds
+    moved = [(f, m + 1) if m == 26 else (f, m - 1) if m == 48 else (f, m)
+             for f, m in D3_GAMMA2_FACTORS]
+    assert spectra._certify(a, moved) is None
+    # 5 becomes 6, with its multiplicity
+    shifted = [(IntPolynomial([-6, 1]), m) if m == 2 else (f, m)
+               for f, m in D3_GAMMA2_FACTORS]
+    assert spectra._certify(a, shifted) is None
+    # x^2 - 2 has the power sums 2, 0 of K2's spectrum 1, -1 below s = 2:
+    # only mu(A) = 0 refutes it
+    k2 = complete_graph(2).adjacency().astype(np.float64)
+    assert spectra._certify(k2, [(IntPolynomial([-2, 0, 1]), 1)]) is None
+    assert spectra._certify(k2, [(IntPolynomial([-1, 0, 1]), 1)]) == char_poly(
+        complete_graph(2))
+
+
+def test_a_guess_that_fails_its_certificate_takes_the_kernel(monkeypatch):
+    from flagspec.catalog import clebsch_graph
+
+    # Clebsch: 5, 1^10, (-3)^5, guessed with one copy of -3 moved to 1
+    wrong = [(IntPolynomial([-5, 1]), 1), (IntPolynomial([-1, 1]), 11),
+             (IntPolynomial([3, 1]), 4)]
+    kernel = []
+    real = spectra._charpoly_matrix
+    monkeypatch.setattr(spectra, "_guess_factors", lambda values: wrong)
+    monkeypatch.setattr(spectra, "_charpoly_matrix",
+                        lambda mat: kernel.append(mat.shape[0]) or real(mat))
+    g = clebsch_graph()
+    assert list(char_poly(g).coeffs) == berkowitz_charpoly(g)
+    assert kernel == [16]
+
+
+def test_certificate_falls_back_just_past_the_float64_bound(monkeypatch):
+    from flagspec.catalog import clebsch_graph
+
+    # mu = (x - 5)(x - 1)(x + 3) = x^3 - 3x^2 - 13x + 15 and the largest
+    # degree is 5: the Horner bound is 15 + 13*5 + 3*5^2 + 5^3 = 280
+    a = clebsch_graph().adjacency()
+    chi = spectra._charpoly_matrix(a)
+    monkeypatch.setattr(spectra, "_FLOAT_EXACT", 281)
+    assert spectra._guess_and_certify(a) == chi
+    monkeypatch.setattr(spectra, "_FLOAT_EXACT", 280)
+    assert spectra._guess_and_certify(a) is None
+    assert char_poly(clebsch_graph()) == chi
+
+
+def test_isolated_vertices_leave_before_the_guess(monkeypatch):
+    from flagspec.catalog import clebsch_graph
+
+    orders = []
+    real = spectra._guess_and_certify
+    monkeypatch.setattr(spectra, "_guess_and_certify",
+                        lambda mat: orders.append(mat.shape[0]) or real(mat))
+    clebsch = clebsch_graph()
+    # Clebsch plus five isolated vertices, shuffled among its own
+    g = _shuffled(Graph(21, clebsch.edges), random.Random(5))
+    assert list(char_poly(g).coeffs) == berkowitz_charpoly(g)
+    assert char_poly(g) == IntPolynomial([0] * 5 + [1]) * char_poly(clebsch)
+    assert orders == [16, 16]
+    # an edgeless graph is x^n, with neither the guess nor the kernel
+    monkeypatch.setattr(spectra, "_charpoly_matrix", None)
+    assert char_poly(Graph(50, [])) == IntPolynomial([0] * 50 + [1])
+    assert orders == [16, 16]
+
+
+def test_one_edge_among_3000_vertices_is_quick():
+    # without the split the guess takes O(n^3) on a 3,000-square matrix,
+    # seconds; with it a 2 x 2 matrix
+    g = Graph(3000, [(17, 2500)])
+    start = time.perf_counter()
+    poly = char_poly(g)
+    assert time.perf_counter() - start < 1.0
+    assert poly == IntPolynomial([0] * 2998 + [-1, 0, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +768,14 @@ def test_numeric_spectrum_rejects_bad_tolerance():
 # self-checks raise, so python -O keeps them
 # ---------------------------------------------------------------------------
 
+def refuse_guesses(monkeypatch):
+    """Send every adjacency-route graph to the Hessenberg kernel."""
+    monkeypatch.setattr(spectra, "_guess_factors", lambda values: None)
+
+
 def test_char_poly_edge_count_check_catches_a_short_modulus(monkeypatch):
     # one prime below the coefficient bound: CRT returns -8 mod 7 as -1
+    refuse_guesses(monkeypatch)
     monkeypatch.setattr(spectra, "_modular_primes", lambda beyond: [7])
     with pytest.raises(SelfCheckFailed, match="coefficient is not -8"):
         char_poly(cycle_graph(8))
@@ -595,6 +794,7 @@ def test_char_poly_self_checks_raise(monkeypatch, offset, message):
         row[len(row) - 1 - offset] += 1
         return row
 
+    refuse_guesses(monkeypatch)
     monkeypatch.setattr(spectra, "_charpoly_mod", tampered)
     with pytest.raises(SelfCheckFailed, match=message):
         char_poly(cycle_graph(5))
@@ -678,6 +878,28 @@ def test_edgeless_char_poly_stays_below_200_mb():
     code = ("from flagspec.graphs import Graph\n"
             "from flagspec.spectra import char_poly\n"
             "raise SystemExit(char_poly(Graph(4000, [])).coeffs != (0,) * 4000 + (1,))")
+    out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    exit_code, max_rss = map(int, out.split())
+    assert exit_code == 0
+    assert max_rss < 200 * 1024  # kilobytes on Linux
+
+
+def test_hessenberg_kernel_on_4000_zero_rows_stays_below_200_mb():
+    # the twin of the test above on the kernel itself, which an edgeless
+    # graph no longer reaches: the same launcher, and the 4,000-square zero
+    # matrix straight into _charpoly_matrix
+    src = os.path.dirname(os.path.dirname(spectra.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    launcher = ("import os, sys\n"
+                "pid = os.posix_spawn(sys.executable, sys.argv[1:], os.environ)\n"
+                "_, status, usage = os.wait4(pid, 0)\n"
+                "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+    code = ("import numpy as np\n"
+            "from flagspec.spectra import _charpoly_matrix\n"
+            "chi = _charpoly_matrix(np.zeros((4000, 4000), dtype=np.uint8))\n"
+            "raise SystemExit(chi.coeffs != (0,) * 4000 + (1,))")
     out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code],
                          env=env, capture_output=True, text=True, check=True).stdout
     exit_code, max_rss = map(int, out.split())
