@@ -1,7 +1,7 @@
 """Exact integer-coefficient polynomials.
 
-Coefficients are stored in ascending degree order.  Arithmetic, division,
-gcd, square-free parts and Sturm chains are integer-only (division is
+Coefficients are stored in ascending degree order.  Arithmetic,
+composition, exact division and Sturm chains are integer-only (division is
 pseudo-division); only Sturm sign counts evaluate at rational endpoints.
 No floating point.  The spectra module uses the Sturm chains to certify
 numeric eigenvalue clusters against exact characteristic polynomials.
@@ -247,35 +247,13 @@ def exact_div(num: IntPolynomial, den: IntPolynomial) -> IntPolynomial:
     return IntPolynomial([q // scale for q in quot])
 
 
-def poly_gcd(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd with positive leading coefficient.
-
-    Primitive PRS: take the primitive part after every remainder step to
-    keep coefficients bounded.
-    """
-    p, q = a.primitive(), b.primitive()
-    while not q.is_zero:
-        p, q = q, IntPolynomial(_divmod(p, q)[1]).primitive()
-    if p.is_zero:
-        return p
-    return p if p.leading > 0 else -p
-
-
-def square_free_part(p: IntPolynomial) -> IntPolynomial:
-    """p divided by gcd(p, p'): same roots, all simple."""
-    if p.degree < 1:
-        return p
-    prim = p.primitive() if p.leading > 0 else -p.primitive()
-    g = poly_gcd(p, p.derivative())
-    return prim if g.degree < 1 else exact_div(prim, g)
-
-
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
-    """Sturm sequence of a square-free polynomial.
+    """Sturm sequence of p, the signed remainder sequence of p and p'.
 
-    Each pseudo-remainder is negated and reduced to its primitive part;
-    both scalings are positive, so the sign-variation counts the
-    root-counting theorem needs are those of the rational chain.
+    It counts roots when p is square-free.  Each pseudo-remainder is
+    negated and reduced to its primitive part; both scalings are positive,
+    so the sign-variation counts the root-counting theorem needs are those
+    of the rational chain.
     """
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
@@ -284,6 +262,20 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
             break
         chain.append(-rem)
     return [q for q in chain if not q.is_zero]
+
+
+def _square_free_chain(p: IntPolynomial) -> list[IntPolynomial]:
+    """Sturm chain of p's square-free part.
+
+    p's own chain ends in gcd(p, p') up to a constant; unless that is a
+    constant, the chain is rebuilt on p over the gcd's primitive part (an
+    exact integer division, by Gauss's lemma).
+    """
+    chain = sturm_chain(p)
+    gcd = chain[-1].primitive()
+    if gcd.degree > 0:
+        chain = sturm_chain(exact_div(p, gcd))
+    return chain
 
 
 def _sign_variations(chain: list[IntPolynomial], x: Fraction) -> int:

@@ -55,7 +55,7 @@ from .designs import DesignParams
 from .errors import NonIntegralClaim, SelfCheckFailed
 from .graphs import Graph, _check_dense, _gram, _json_int
 from .polynomials import (IntPolynomial, _compose, _sign_variations,
-                          square_free_part, sturm_chain)
+                          _square_free_chain)
 
 
 # trial division gives up at this f: every m whose part without prime
@@ -407,6 +407,11 @@ _GUESS_LIMIT = 2.0**40
 _FLOAT_EXACT = 2**53
 
 
+def _clusters(values: np.ndarray, gap: float) -> list[np.ndarray]:
+    """Ascending values split wherever two neighbours lie more than gap apart."""
+    return np.split(values, np.flatnonzero(np.diff(values) > gap) + 1)
+
+
 def _guess_factors(values: np.ndarray) -> list[tuple[IntPolynomial, int]] | None:
     """Monic factors f with multiplicities m, from ascending float64
     eigenvalues: the clusters of each size m are the roots of one f.
@@ -418,7 +423,7 @@ def _guess_factors(values: np.ndarray) -> list[tuple[IntPolynomial, int]] | None
     """
     gap = _CLUSTER_GAP * max(1.0, float(np.abs(values).max()))
     groups: dict[int, list[float]] = {}
-    for cluster in np.split(values, np.flatnonzero(np.diff(values) > gap) + 1):
+    for cluster in _clusters(values, gap):
         groups.setdefault(len(cluster), []).append(float(cluster.mean()))
     factors = []
     for m, centres in groups.items():
@@ -646,27 +651,21 @@ def numeric_spectrum(g: Graph, tolerance: float) -> list[tuple[float, int]]:
 
     Every cluster center is certified to lie within tolerance of its own
     exact root of char_poly(g), distinct from those of the other clusters,
-    by a Sturm count on the square-free part; the exact path stays
-    authoritative.  A tolerance too fine for float64 to resolve is refused
-    with ValueError, a failed certification above that with SelfCheckFailed.
+    by a Sturm count on the square-free part, read off char_poly(g)'s own
+    Sturm chain; the exact path stays authoritative.  A tolerance too fine
+    for float64 to resolve is refused with ValueError, a failed
+    certification above that with SelfCheckFailed.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError("tolerance must be a positive finite number")
     if g.n == 0:
         return []
     values = np.linalg.eigvalsh(g.adjacency())
-    clusters: list[list[float]] = [[float(values[0])]]
-    for x in values[1:]:
-        x = float(x)
-        if x - clusters[-1][-1] <= tolerance:
-            clusters[-1].append(x)
-        else:
-            clusters.append([x])
-    chain = sturm_chain(square_free_part(char_poly(g)))
+    chain = _square_free_chain(char_poly(g))
     out = []
     above = None  # the low end of the interval of the cluster above
-    for cl in reversed(clusters):
-        center = sum(cl) / len(cl)
+    for cl in reversed(_clusters(values, tolerance)):
+        center = sum(cl.tolist()) / len(cl)
         lo, hi = Fraction(center - tolerance), Fraction(center + tolerance)
         # count roots only where the cluster above does not reach, so that
         # no two clusters lean on one exact eigenvalue

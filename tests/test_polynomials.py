@@ -13,9 +13,8 @@ from flagspec.polynomials import (
     _compose,
     _divmod,
     _sign_variations,
+    _square_free_chain,
     exact_div,
-    poly_gcd,
-    square_free_part,
     sturm_chain,
 )
 
@@ -87,28 +86,25 @@ def test_exact_division():
         exact_div(IntPolynomial([1, 1]), IntPolynomial([2]))  # non-integral
 
 
-def test_gcd_matches_sympy():
-    rng = random.Random(5)
-    for _ in range(25):
-        a = rand_poly(rng, rng.randint(0, 5))
-        b = rand_poly(rng, rng.randint(0, 5))
-        common = rand_poly(rng, rng.randint(0, 3))
-        ours = poly_gcd(a * common, b * common)
-        theirs = sympy.gcd(to_sympy(a * common), to_sympy(b * common))
-        # both primitive with positive leading coefficient
-        assert to_sympy(ours) == sympy.Poly(theirs.as_expr(), X).primitive()[1]
-
-
 def test_square_free_part():
+    # (x - 1)^2 (x + 2): the chain is rebuilt on (x - 1)(x + 2)
     factor = IntPolynomial([-1, 1])  # x - 1
     p = factor * factor * IntPolynomial([2, 1])
-    sf = square_free_part(p)
-    assert sf == factor * IntPolynomial([2, 1])
+    chain = _square_free_chain(p)
+    assert chain[0] in (factor * IntPolynomial([2, 1]), -factor * IntPolynomial([2, 1]))
+    assert chain[1] == chain[0].derivative()
+    # x^7, the edgeless graph's chi: its chain ends in 7x^6, which is not
+    # primitive, and x^7 over 7x^6 is not an integer polynomial
+    assert sturm_chain(IntPolynomial([0] * 7 + [1]))[-1] == IntPolynomial([0] * 6 + [7])
+    assert _square_free_chain(IntPolynomial([0] * 7 + [1]))[0] == IntPolynomial([0, 1])
+    # a square-free p, x^2 - 2 or x, keeps its own chain
+    for p in (IntPolynomial([-2, 0, 1]), IntPolynomial([0, 1])):
+        assert _square_free_chain(p) == sturm_chain(p)
     rng = random.Random(11)
     for _ in range(15):
         q = rand_poly(rng, rng.randint(1, 4))
         squared = q * q
-        out = to_sympy(square_free_part(squared)).as_expr()
+        out = to_sympy(_square_free_chain(squared)[0]).as_expr()
         # the result divides the input and carries no repeated roots
         assert sympy.div(to_sympy(squared).as_expr(), out, X)[1] == 0
         assert sympy.degree(sympy.gcd(out, sympy.diff(out, X)), X) <= 0
@@ -185,21 +181,26 @@ def normalized(p):
     return -prim if prim.LC() < 0 else prim
 
 
-@PROPERTY
-@given(polys(), polys(), polys(max_degree=3))
-def test_gcd_property(a, b, common):
-    ours = poly_gcd(a * common, b * common)
-    theirs = sympy.gcd(to_sympy(a * common), to_sympy(b * common))
-    assert to_sympy(ours) == normalized(theirs)
-    assert ours.leading > 0 and ours.content() == 1
+@st.composite
+def repeated_root_polys(draw):
+    """p q^2, or c (x - a)^k with k up to 6, leading coefficients of
+    either sign."""
+    if draw(st.booleans()):
+        return draw(polys(min_degree=1)) * draw(polys(max_degree=2)) ** 2
+    c = draw(st.integers(-4, 4).filter(bool))
+    return IntPolynomial([-draw(st.integers(-3, 3)), 1]) ** draw(st.integers(1, 6)) * c
 
 
 @PROPERTY
-@given(polys(min_degree=1), polys(max_degree=2))
-def test_square_free_part_property(p, q):
-    p = p * q * q
-    ours = square_free_part(p)
-    assert to_sympy(ours) == normalized(sympy.sqf_part(to_sympy(p)))
+@given(repeated_root_polys())
+def test_square_free_part_property(p):
+    sp = to_sympy(p)
+    # p's own chain ends in gcd(p, p'), and the helper's chain starts at
+    # p's square-free part, each up to a constant factor
+    assert normalized(to_sympy(sturm_chain(p)[-1])) == normalized(sympy.gcd(sp, sp.diff(X)))
+    chain = _square_free_chain(p)
+    assert normalized(to_sympy(chain[0])) == normalized(sympy.sqf_part(sp))
+    assert chain[1] == chain[0].derivative()
 
 
 @PROPERTY
@@ -242,9 +243,8 @@ def test_exact_div_property(a, b):
 def test_sturm_counts_property(p, lo, width):
     sp = to_sympy(p)
     hi = lo + width
-    reduced = square_free_part(p)
-    chain = sturm_chain(reduced)
-    assert chain[0] == reduced and chain[1] == reduced.derivative()
+    chain = _square_free_chain(p)
+    assert chain[1] == chain[0].derivative()
     # endpoints that are roots count on the (lo, hi] side
     theirs = len({r for r in sympy.real_roots(sp) if lo < r <= hi})
     ours = _sign_variations(chain, Fraction(lo)) - _sign_variations(chain, Fraction(hi))

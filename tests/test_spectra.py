@@ -758,6 +758,29 @@ def test_numeric_spectrum_two_clusters_cannot_share_an_eigenvalue(monkeypatch):
         numeric_spectrum(complete_graph(4), 1e-9)
 
 
+def test_numeric_spectrum_certifies_coarse_clusters_that_merge_eigenvalues(
+        gamma1_graphs, gamma2_graphs):
+    # one cluster spans every distinct eigenvalue; its centre, near 0, is
+    # certified by the root within tolerance of it
+    for g, tolerance in ((gamma1_graphs["biplane-7-4-2"].graph, 3.0),
+                         (gamma2_graphs["biplane-16-6-2-D3"].graph, 2.5)):
+        [(centre, m)] = numeric_spectrum(g, tolerance)
+        assert m == g.n and abs(centre) < tolerance
+
+
+def test_numeric_spectrum_certifies_a_centre_near_the_tolerance(monkeypatch):
+    # -1 + 9e-10 lies 0.9 tolerance from -1, K4's eigenvalue of multiplicity 3
+    values = np.array([-1 + 9e-10] * 3 + [3.0])
+    monkeypatch.setattr(spectra.np.linalg, "eigvalsh", lambda a: values)
+    assert numeric_spectrum(complete_graph(4), 1e-9) == [(3.0, 1), (-0.9999999991, 3)]
+
+
+def test_numeric_spectrum_of_edgeless_and_single_vertex_graphs():
+    # chi = x^7 has the chain [x^7, 7x^6], and chi = x the chain [x, 1]
+    assert numeric_spectrum(Graph(7, []), 1e-9) == [(0.0, 7)]
+    assert numeric_spectrum(Graph(1, []), 1e-9) == [(0.0, 1)]
+
+
 def test_numeric_spectrum_rejects_bad_tolerance():
     for tolerance in (0.0, -1.0, math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="positive finite"):
@@ -996,11 +1019,11 @@ def test_line_route_prime_counts(catalog_designs, monkeypatch):
 
 
 @st.composite
-def bound_graphs(draw):
-    """Sparse, dense, disconnected, edgeless and complete graphs, n <= 40."""
+def bound_graphs(draw, max_n=40):
+    """Sparse, dense, disconnected, edgeless and complete graphs, n <= max_n."""
     kind = draw(st.sampled_from(
         ["sparse", "dense", "disconnected", "edgeless", "complete"]))
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_n))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "edgeless":
         return Graph(n, [])
@@ -1027,6 +1050,28 @@ def test_coeff_bound_covers_the_coefficient_norm(g):
         assert bound == am_gm
     else:
         assert bound <= am_gm
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(bound_graphs(max_n=12), st.sampled_from([1e-9, 1e-3, 0.5, 2.5]))
+def test_numeric_spectrum_matches_sympy_roots(g, tolerance):
+    # sympy's exact real roots of chi, one distinct root per cluster within
+    # [c - t, c + t] (endpoints as float64 computes them, the certificate's
+    # own).  Clusters and roots both ascend and the intervals share one
+    # width, so taking the least unused root that fits finds a matching
+    # whenever one exists.
+    clusters = numeric_spectrum(g, tolerance)
+    assert sum(m for _, m in clusters) == g.n
+    chi = sympy.Poly(list(reversed(char_poly(g).coeffs)), sympy.Symbol("x"))
+    roots = sorted({r.evalf(50) for r in chi.real_roots()})
+    assert len(roots) >= len(clusters)
+    i = 0
+    for centre, _ in reversed(clusters):
+        lo, hi = sympy.Rational(centre - tolerance), sympy.Rational(centre + tolerance)
+        while i < len(roots) and roots[i] < lo:
+            i += 1
+        assert i < len(roots) and roots[i] <= hi, (centre, roots)
+        i += 1
 
 
 @st.composite
